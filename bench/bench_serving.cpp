@@ -9,9 +9,6 @@
 //                    throughput a single blocking client can extract
 //   concurrent warm  4 connections pipelining the same warm traffic,
 //                    the way groverc --connect actually drives a daemon
-//   sharded warm     the same concurrent warm traffic against a 4-shard
-//                    (SO_REUSEPORT) serving core — on a >=4-core
-//                    machine it must deliver >=1.3x the single-loop RPS
 //   polite vs greedy a serial client's p99 while a pipelining client
 //                    saturates the daemon past its credit allowance —
 //                    the per-connection fair-admission guarantee
@@ -299,44 +296,6 @@ int main() {
                       net::FrameType::Request);
   printPhase("concurrent warm", warm);
 
-  // --- sharded phase: the same concurrent warm traffic against a
-  // 4-shard serving core over the same warm service. The single-loop
-  // concurrent-warm numbers above are the baseline. SO_REUSEPORT
-  // hashes connections to shards, so a run where the kernel collapsed
-  // nearly all connections onto one shard measures nothing — rerun up
-  // to 5 times until the spread is usable and keep the last attempt.
-  constexpr std::size_t kShards = 4;
-  const unsigned cores = std::thread::hardware_concurrency();
-  PhaseResult sharded;
-  std::vector<std::uint64_t> shardSpread;
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    net::ServerConfig shardedConfig;
-    shardedConfig.loopShards = kShards;
-    net::Server shardedServer(service, shardedConfig);
-    shardedServer.bind();
-    std::thread shardedLoop([&] { shardedServer.run(); });
-    const std::string shardedAddr =
-        "127.0.0.1:" + std::to_string(shardedServer.port());
-    sharded = driveConcurrent(shardedAddr, lines, kConnections, kReps,
-                              kWindow, net::FrameType::Request);
-    const net::ServerStats shardedStats = shardedServer.stats();
-    shardedServer.requestStop();
-    shardedLoop.join();
-    shardSpread.clear();
-    std::uint64_t busiest = 0;
-    for (const net::ServerStats& sh : shardedStats.shards) {
-      shardSpread.push_back(sh.connectionsAccepted);
-      busiest = std::max(busiest, sh.connectionsAccepted);
-    }
-    if (busiest < kConnections - 1) break;  // >=2 shards pulled weight
-  }
-  printPhase("sharded warm", sharded);
-  {
-    std::cout << "shard spread:";
-    for (const std::uint64_t n : shardSpread) std::cout << " " << n;
-    std::cout << " connections\n";
-  }
-
   // --- fairness phase: a second serving core over the same warm
   // service, with tight per-connection credits. First the polite
   // client's uncontended baseline; then the same traffic while a
@@ -433,10 +392,6 @@ int main() {
   const double speedup = serial.rps > 0 ? warm.rps / serial.rps : 0;
   std::cout << "\nconcurrent-warm vs serial-warm throughput: "
             << fixed(speedup, 2) << "x\n";
-  const double shardedSpeedup = warm.rps > 0 ? sharded.rps / warm.rps : 0;
-  std::cout << "sharded (" << kShards << " loops, " << cores
-            << " cores) vs single-loop warm throughput: "
-            << fixed(shardedSpeedup, 2) << "x\n";
   const double fairnessRatio = politeAlone.p99Ms > 0
                                    ? politeContended.p99Ms / politeAlone.p99Ms
                                    : 0;
@@ -451,21 +406,15 @@ int main() {
 
   std::ostringstream json;
   json << "{\n  \"connections\": " << kConnections << ",\n  \"reps\": "
-       << kReps << ",\n  \"unique_keys\": " << lines.size() << ",\n";
+       << kReps << ",\n  \"unique_keys\": " << lines.size()
+       << ",\n  \"cores\": " << std::thread::hardware_concurrency() << ",\n";
   phaseJson(json, "mixed", mixed, true);
   phaseJson(json, "serial_warm", serial, true);
   phaseJson(json, "concurrent_warm", warm, true);
-  phaseJson(json, "sharded_warm", sharded, true);
   phaseJson(json, "polite_alone", politeAlone, true);
   phaseJson(json, "polite_vs_greedy", politeContended, true);
   phaseJson(json, "auto_unmeasured", autoUnmeasured, true);
   phaseJson(json, "auto_measured", autoMeasured, true);
-  json << "  \"loop_shards\": " << kShards << ",\n  \"cores\": " << cores
-       << ",\n  \"shard_connections\": [";
-  for (std::size_t i = 0; i < shardSpread.size(); ++i) {
-    json << (i > 0 ? ", " : "") << shardSpread[i];
-  }
-  json << "],\n  \"sharded_speedup\": " << shardedSpeedup << ",\n";
   json << "  \"greedy_served\": " << greedyServed.load()
        << ",\n  \"greedy_rejected\": " << greedyRejected.load()
        << ",\n  \"fairness_p99_ratio\": " << fairnessRatio
@@ -480,17 +429,6 @@ int main() {
               << " req/s over " << kConnections
               << " connections) does not beat one serial connection ("
               << fixed(serial.rps, 0) << " req/s)\n";
-    failed = true;
-  }
-  // The sharded gate needs real parallelism to mean anything: on a
-  // runner with fewer than 4 cores the shards time-slice one another
-  // and the ratio only measures scheduler noise, so record it but do
-  // not gate on it.
-  if (cores >= 4 && shardedSpeedup < 1.3) {
-    std::cerr << "FATAL: 4-shard concurrent warm serving ("
-              << fixed(sharded.rps, 0) << " req/s) is less than 1.3x the "
-              << "single-loop baseline (" << fixed(warm.rps, 0)
-              << " req/s) on a " << cores << "-core machine\n";
     failed = true;
   }
   if (greedyRejected.load() == 0) {

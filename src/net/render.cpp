@@ -106,25 +106,12 @@ std::string renderServerLine(const StatsCounters& c,
              " read-budget yields\n");
 }
 
-std::string renderShardLine(std::size_t index, const StatsCounters& c) {
-  return cat("shard ", index, ": ", c.connectionsAccepted,
-             " connections, ", c.framesReceived, " frames, ",
-             c.requestsAdmitted, " admitted, ", c.responsesSent,
-             " responses, ", c.rejectedOverload, " overload-rejected, ",
-             c.idleTimeouts, " idle timeouts\n");
-}
-
 std::string renderStatsFrame(const StatsFrame& f) {
   std::string out = cat(
       "daemon: up ", fixed(static_cast<double>(f.uptimeMs) / 1000.0, 1),
-      " s, ", f.shards.size(), " shard(s), ", f.admittedNow,
-      " admitted now, ", f.connectionsOpen, " connection(s) open\n");
+      " s, ", f.admittedNow, " admitted now, ", f.connectionsOpen,
+      " connection(s) open\n");
   out += renderServerLine(f.totals, f.connectionsOpen);
-  if (f.shards.size() > 1) {
-    for (std::size_t i = 0; i < f.shards.size(); ++i) {
-      out += renderShardLine(i, f.shards[i]);
-    }
-  }
   out += cat("service: ", f.cancelled, " cancelled, ", f.measurements,
              " measurements (", f.measurementsDropped, " dropped, backlog ",
              f.measureQueueBacklog, "), ", f.proofsRun, " proofs (",
@@ -132,10 +119,18 @@ std::string renderStatsFrame(const StatsFrame& f) {
   return out;
 }
 
-namespace {
-
-void appendCountersJson(std::string& out, const StatsCounters& c) {
-  out += cat("{\"connections_accepted\":", c.connectionsAccepted,
+std::string renderStatsFrameJson(const StatsFrame& f) {
+  const StatsCounters& c = f.totals;
+  return cat("{\"version\":", f.version, ",\"uptime_ms\":", f.uptimeMs,
+             ",\"admitted_now\":", f.admittedNow,
+             ",\"connections_open\":", f.connectionsOpen,
+             ",\"cancelled\":", f.cancelled,
+             ",\"measurements\":", f.measurements,
+             ",\"measurements_dropped\":", f.measurementsDropped,
+             ",\"measure_queue_backlog\":", f.measureQueueBacklog,
+             ",\"proofs_run\":", f.proofsRun,
+             ",\"proofs_refuted\":", f.proofsRefuted,
+             ",\"totals\":{\"connections_accepted\":", c.connectionsAccepted,
              ",\"connections_closed\":", c.connectionsClosed,
              ",\"frames_received\":", c.framesReceived,
              ",\"requests_admitted\":", c.requestsAdmitted,
@@ -147,40 +142,15 @@ void appendCountersJson(std::string& out, const StatsCounters& c) {
              ",\"disconnected_mid_request\":", c.disconnectedMidRequest,
              ",\"idle_timeouts\":", c.idleTimeouts,
              ",\"read_budget_exhausted\":", c.readBudgetExhausted,
-             ",\"accepts_shed\":", c.acceptsShed, "}");
-}
-
-}  // namespace
-
-std::string renderStatsFrameJson(const StatsFrame& f) {
-  std::string out = cat("{\"version\":", f.version,
-                        ",\"uptime_ms\":", f.uptimeMs,
-                        ",\"shards\":", f.shards.size(),
-                        ",\"admitted_now\":", f.admittedNow,
-                        ",\"connections_open\":", f.connectionsOpen,
-                        ",\"cancelled\":", f.cancelled,
-                        ",\"measurements\":", f.measurements,
-                        ",\"measurements_dropped\":", f.measurementsDropped,
-                        ",\"measure_queue_backlog\":", f.measureQueueBacklog,
-                        ",\"proofs_run\":", f.proofsRun,
-                        ",\"proofs_refuted\":", f.proofsRefuted,
-                        ",\"totals\":");
-  appendCountersJson(out, f.totals);
-  out += ",\"per_shard\":[";
-  for (std::size_t i = 0; i < f.shards.size(); ++i) {
-    if (i > 0) out += ',';
-    appendCountersJson(out, f.shards[i]);
-  }
-  out += "]}\n";
-  return out;
+             ",\"accepts_shed\":", c.acceptsShed, "}}\n");
 }
 
 std::string renderHealthLine(const StatsFrame& f) {
   return cat("health: up ",
              fixed(static_cast<double>(f.uptimeMs) / 1000.0, 1), " s, ",
-             f.shards.size(), " shard(s), ", f.admittedNow, " admitted, ",
-             f.connectionsOpen, " open (", f.totals.connectionsAccepted,
-             " accepted, ", f.totals.acceptsShed, " shed), ",
+             f.admittedNow, " admitted, ", f.connectionsOpen, " open (",
+             f.totals.connectionsAccepted, " accepted, ",
+             f.totals.acceptsShed, " shed), ",
              f.totals.responsesSent, " responses, ",
              f.totals.rejectedOverload, " overload-rejected, ",
              f.cancelled, " cancelled, ", f.measurements,

@@ -3,7 +3,6 @@
 // client sees exactly the lines a local run would print.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -41,13 +40,8 @@ struct StatsRenderOptions {
 [[nodiscard]] std::string renderServerLine(const StatsCounters& c,
                                            std::uint64_t connectionsOpen);
 
-/// One per-shard counter line ("shard N: ..."). Ends with a newline.
-[[nodiscard]] std::string renderShardLine(std::size_t index,
-                                          const StatsCounters& c);
-
 /// Human-readable rendering of a decoded binary StatsFrame: a health
-/// header, the shared "server:" line, per-shard lines when the daemon
-/// runs more than one loop shard, and a "service:" summary.
+/// header, the shared "server:" line, and a "service:" summary.
 [[nodiscard]] std::string renderStatsFrame(const StatsFrame& f);
 
 /// The same snapshot as one JSON object (machine consumers; groverc

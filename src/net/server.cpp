@@ -14,8 +14,6 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
-#include <thread>
-#include <unordered_map>
 
 #include "net/batch.h"
 #include "net/render.h"
@@ -39,30 +37,12 @@ void closeFd(int& fd) {
   }
 }
 
-StatsCounters toCounters(const ServerStats& s) {
-  StatsCounters c;
-  c.connectionsAccepted = s.connectionsAccepted;
-  c.connectionsClosed = s.connectionsClosed;
-  c.framesReceived = s.framesReceived;
-  c.requestsAdmitted = s.requestsAdmitted;
-  c.responsesSent = s.responsesSent;
-  c.rejectedOverload = s.rejectedOverload;
-  c.rejectedClientCredit = s.rejectedClientCredit;
-  c.rejectedShutdown = s.rejectedShutdown;
-  c.protocolErrors = s.protocolErrors;
-  c.disconnectedMidRequest = s.disconnectedMidRequest;
-  c.idleTimeouts = s.idleTimeouts;
-  c.readBudgetExhausted = s.readBudgetExhausted;
-  c.acceptsShed = s.acceptsShed;
-  return c;
-}
-
 }  // namespace
 
 /// Per-connection state machine. Reads accumulate in `reader` until
 /// whole frames decode; writes drain from `writeBuf` as the socket
-/// accepts them (partial writes keep their offset). Owned by exactly
-/// one shard; only that shard's loop thread touches it.
+/// accepts them (partial writes keep their offset). Only the loop
+/// thread touches it.
 struct Server::Connection {
   int fd = -1;
   std::uint64_t connId = 0;
@@ -81,7 +61,7 @@ struct Server::Connection {
   /// This connection's disconnect flag, shared with service workers so
   /// cold work for a vanished client can be abandoned (cancel.h).
   service::CancelToken cancel;
-  /// Index in the owning shard's connection vector (swap-pop on close).
+  /// Index in the server's connection vector (swap-pop on close).
   std::size_t slot = 0;
   /// Last time this connection did something that counts against the
   /// idle timeout: socket reads, request admission, and response
@@ -94,122 +74,40 @@ struct Server::Connection {
   }
 };
 
-/// One independent event loop: its own listeners, poll set, connection
-/// maps, completion queue and wakeup pipe. Every mutable field below
-/// the cross-thread section is owned by this shard's loop thread.
-struct Server::Shard {
-  Server& server;
-  const std::size_t index;
-
-  // Listeners. Under SO_REUSEPORT every shard has a tcpListenFd; in
-  // handoff mode only shard 0 does. unixListenFd lives on shard 0.
-  int tcpListenFd = -1;
-  int unixListenFd = -1;
-  int wakeReadFd = -1;
-  int wakeWriteFd = -1;
-
-  // Cross-thread: workers push completions, shard 0 hands fds over.
-  std::mutex completionMutex;
-  std::vector<Completion> completions;
-  std::mutex handoffMutex;
-  std::vector<int> handoffFds;
-  /// Connections owned by (or in the handoff queue of) this shard.
-  /// Read by the routing shard to pick the least-loaded target and by
-  /// stats(); incremented by whoever routes the fd here.
-  std::atomic<std::size_t> openConnections{0};
-
-  // Per-shard counters: written only by this shard's loop thread,
-  // atomics so stats() can read them from anywhere.
-  std::atomic<std::uint64_t> accepted{0}, closed{0}, frames{0},
-      admittedTotal{0}, responses{0}, overloaded{0}, creditRejected{0},
-      shutdownRejected{0}, protocolErrors{0}, disconnected{0},
-      idleTimeouts{0}, readBudgetExhausted{0}, acceptsShed{0};
-
-  // Loop-thread state.
-  std::vector<std::unique_ptr<Connection>> connections;
-  std::unordered_map<std::uint64_t, Connection*> connById;
-  std::unordered_map<int, Connection*> connByFd;
-  bool draining = false;
-  // EMFILE recovery: a reserve fd (to /dev/null) we can close to free a
-  // descriptor, accept the pending connection, shed it, and re-open the
-  // reserve — so the kernel backlog cannot wedge full of connections we
-  // will never see. Plus a listener-poll backoff to avoid spinning.
-  int reserveFd = -1;
-  Clock::time_point acceptBackoffUntil{};
-  int acceptErrnoLogged = 0;
-
-  Shard(Server& s, std::size_t i) : server(s), index(i) {
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      throw GroverError(cat("cannot create wakeup pipe: ",
-                            std::strerror(errno)));
-    }
-    wakeReadFd = fds[0];
-    wakeWriteFd = fds[1];
-    setNonBlocking(wakeReadFd);
-    setNonBlocking(wakeWriteFd);
-    reserveFd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  }
-
-  ~Shard() {
-    for (auto& conn : connections) closeFd(conn->fd);
-    connections.clear();
-    connById.clear();
-    connByFd.clear();
-    for (int fd : handoffFds) ::close(fd);
-    handoffFds.clear();
-    closeFd(reserveFd);
-    closeFd(tcpListenFd);
-    closeFd(unixListenFd);
-    closeFd(wakeReadFd);
-    closeFd(wakeWriteFd);
-  }
-
-  void wake() noexcept {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wakeWriteFd, &byte, 1);
-  }
-
-  void run();
-  void adoptFd(int fd);
-  void drainHandoff();
-  void acceptPending(int listenFd);
-  void handleReadable(Connection& conn);
-  void handleFrame(Connection& conn, Frame frame);
-  void dispatchRequest(Connection& conn, FrameType type, std::uint64_t id,
-                       std::string payload);
-  void respond(Connection& conn, FrameType type, std::uint64_t id,
-               Status status, std::string_view text);
-  void flushWrites(Connection& conn);
-  void maybeCloseDrained(Connection& conn);
-  void closeConnection(std::uint64_t connId);
-  void drainCompletions();
-};
-
 Server::Server(service::CompileService& service, ServerConfig config,
                std::ostream* log)
     : service_(service),
       config_(std::move(config)),
       log_stream_(log),
-      workers_(config_.workers),
-      started_at_(Clock::now()) {
-  config_.loopShards = std::max<std::size_t>(1, config_.loopShards);
-  shards_.reserve(config_.loopShards);
-  for (std::size_t i = 0; i < config_.loopShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(*this, i));
+      started_at_(Clock::now()),
+      workers_(config_.workers) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    throw GroverError(
+        cat("cannot create wakeup pipe: ", std::strerror(errno)));
   }
+  wake_read_fd_ = fds[0];
+  wake_write_fd_ = fds[1];
+  setNonBlocking(wake_read_fd_);
+  setNonBlocking(wake_write_fd_);
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
 }
 
 Server::~Server() {
-  // Workers may still be queued with tasks holding shard pointers; wait
-  // for them before tearing the shards down.
+  // Queued worker tasks still push completions and write the wakeup
+  // pipe; wait for them before closing anything.
   workers_.waitIdle();
-  shards_.clear();
+  for (auto& conn : connections_) closeFd(conn->fd);
+  closeFd(reserve_fd_);
+  closeFd(tcp_listen_fd_);
+  closeFd(unix_listen_fd_);
+  closeFd(wake_read_fd_);
+  closeFd(wake_write_fd_);
   if (unix_bound_) ::unlink(config_.unixPath.c_str());
 }
 
 void Server::bind() {
-  // TCP listeners (unless the caller wants unix-only, signalled by
+  // TCP listener (unless the caller wants unix-only, signalled by
   // host == "none").
   if (config_.host != "none") {
     sockaddr_in addr{};
@@ -219,47 +117,25 @@ void Server::bind() {
       throw GroverError("bad listen address '" + config_.host +
                         "' (expected an IPv4 address)");
     }
-    bool reusePort = config_.reusePort && shards_.size() > 1;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) {
-        throw GroverError(cat("socket: ", std::strerror(errno)));
-      }
-      shards_[i]->tcpListenFd = fd;  // owned by the shard from here on
-      const int one = 1;
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-      if (reusePort &&
-          ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-              0) {
-        if (i > 0) {
-          throw GroverError(cat("setsockopt(SO_REUSEPORT): ",
-                                std::strerror(errno)));
-        }
-        // No SO_REUSEPORT on this system: fall back to a single
-        // routing listener on shard 0 handing fds across shards.
-        log(cat("SO_REUSEPORT unavailable (", std::strerror(errno),
-                "); falling back to single-listener handoff"));
-        reusePort = false;
-      }
-      addr.sin_port = htons(bound_port_ != 0 ? bound_port_ : config_.port);
-      if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0) {
-        throw GroverError(cat("cannot bind ", config_.host, ":",
-                              bound_port_ != 0 ? bound_port_ : config_.port,
-                              ": ", std::strerror(errno)));
-      }
-      if (::listen(fd, 64) != 0) {
-        throw GroverError(cat("listen: ", std::strerror(errno)));
-      }
-      if (i == 0) {
-        socklen_t len = sizeof(addr);
-        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-        bound_port_ = ntohs(addr.sin_port);
-      }
-      setNonBlocking(fd);
-      if (!reusePort) break;  // shard 0's listener routes for everyone
+    tcp_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (tcp_listen_fd_ < 0) {
+      throw GroverError(cat("socket: ", std::strerror(errno)));
     }
-    tcp_handoff_ = !reusePort;
+    const int one = 1;
+    ::setsockopt(tcp_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                 sizeof(one));
+    if (::bind(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr)) != 0) {
+      throw GroverError(cat("cannot bind ", config_.host, ":", config_.port,
+                            ": ", std::strerror(errno)));
+    }
+    if (::listen(tcp_listen_fd_, 64) != 0) {
+      throw GroverError(cat("listen: ", std::strerror(errno)));
+    }
+    socklen_t len = sizeof(addr);
+    ::getsockname(tcp_listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    bound_port_ = ntohs(addr.sin_port);
+    setNonBlocking(tcp_listen_fd_);
   }
 
   if (!config_.unixPath.empty()) {
@@ -294,7 +170,7 @@ void Server::bind() {
     if (fd < 0) {
       throw GroverError(cat("socket(AF_UNIX): ", std::strerror(errno)));
     }
-    shards_[0]->unixListenFd = fd;
+    unix_listen_fd_ = fd;
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
       throw GroverError(cat("cannot bind unix socket ", config_.unixPath,
                             ": ", std::strerror(errno)));
@@ -305,76 +181,39 @@ void Server::bind() {
     }
     setNonBlocking(fd);
   }
-  if (shards_[0]->tcpListenFd < 0 && shards_[0]->unixListenFd < 0) {
+  if (tcp_listen_fd_ < 0 && unix_listen_fd_ < 0) {
     throw GroverError("no listener configured (host=none and no --socket)");
   }
 }
 
 void Server::requestStop() noexcept {
   stop_requested_.store(true, std::memory_order_relaxed);
-  // Async-signal-safe; the pipes are non-blocking, and a full pipe
+  wake();
+}
+
+void Server::wake() noexcept {
+  // Async-signal-safe; the pipe is non-blocking, and a full pipe
   // already guarantees a pending wakeup.
-  for (const auto& shard : shards_) shard->wake();
+  const char byte = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
 }
 
-bool Server::tryAdmit(bool firstOutstanding) {
-  const std::size_t cap = config_.maxAdmitted;
-  const std::size_t reserve =
-      cap > 0 ? std::min(config_.admitReserve, cap - 1) : 0;
-  const std::size_t limit = firstOutstanding ? cap : cap - reserve;
-  std::size_t cur = admitted_.load(std::memory_order_relaxed);
-  while (cur < limit) {
-    if (admitted_.compare_exchange_weak(cur, cur + 1,
-                                        std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-ServerStats Server::stats() const {
-  // One atomic read per counter per shard; the totals are sums of those
-  // same reads, so the per-shard breakdown aggregates exactly to the
-  // totals in every snapshot.
-  ServerStats total;
-  total.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    ServerStats s;
-    s.connectionsAccepted = shard->accepted.load();
-    s.connectionsClosed = shard->closed.load();
-    s.framesReceived = shard->frames.load();
-    s.requestsAdmitted = shard->admittedTotal.load();
-    s.responsesSent = shard->responses.load();
-    s.rejectedOverload = shard->overloaded.load();
-    s.rejectedClientCredit = shard->creditRejected.load();
-    s.rejectedShutdown = shard->shutdownRejected.load();
-    s.protocolErrors = shard->protocolErrors.load();
-    s.disconnectedMidRequest = shard->disconnected.load();
-    s.idleTimeouts = shard->idleTimeouts.load();
-    s.readBudgetExhausted = shard->readBudgetExhausted.load();
-    s.acceptsShed = shard->acceptsShed.load();
-    total.connectionsAccepted += s.connectionsAccepted;
-    total.connectionsClosed += s.connectionsClosed;
-    total.framesReceived += s.framesReceived;
-    total.requestsAdmitted += s.requestsAdmitted;
-    total.responsesSent += s.responsesSent;
-    total.rejectedOverload += s.rejectedOverload;
-    total.rejectedClientCredit += s.rejectedClientCredit;
-    total.rejectedShutdown += s.rejectedShutdown;
-    total.protocolErrors += s.protocolErrors;
-    total.disconnectedMidRequest += s.disconnectedMidRequest;
-    total.idleTimeouts += s.idleTimeouts;
-    total.readBudgetExhausted += s.readBudgetExhausted;
-    total.acceptsShed += s.acceptsShed;
-    total.shards.push_back(std::move(s));
-  }
-  return total;
-}
-
-std::uint64_t Server::openConnections() const {
-  std::uint64_t open = 0;
-  for (const auto& shard : shards_) open += shard->openConnections.load();
-  return open;
+StatsCounters Server::stats() const {
+  StatsCounters c;
+  c.connectionsAccepted = accepted_.load();
+  c.connectionsClosed = closed_.load();
+  c.framesReceived = frames_.load();
+  c.requestsAdmitted = admitted_total_.load();
+  c.responsesSent = responses_.load();
+  c.rejectedOverload = overloaded_.load();
+  c.rejectedClientCredit = credit_rejected_.load();
+  c.rejectedShutdown = shutdown_rejected_.load();
+  c.protocolErrors = protocol_errors_.load();
+  c.disconnectedMidRequest = disconnected_.load();
+  c.idleTimeouts = idle_timeouts_.load();
+  c.readBudgetExhausted = read_budget_exhausted_.load();
+  c.acceptsShed = accepts_shed_.load();
+  return c;
 }
 
 StatsFrame Server::statsFrame() const {
@@ -384,13 +223,8 @@ StatsFrame Server::statsFrame() const {
                                                             started_at_)
           .count());
   f.admittedNow = admitted_.load();
-  f.connectionsOpen = openConnections();
-  const ServerStats s = stats();
-  f.totals = toCounters(s);
-  f.shards.reserve(s.shards.size());
-  for (const ServerStats& shard : s.shards) {
-    f.shards.push_back(toCounters(shard));
-  }
+  f.connectionsOpen = open_connections_.load();
+  f.totals = stats();
   const service::ServiceStats svc = service_.stats();
   f.cancelled = svc.cancelled;
   f.measurements = svc.measurements;
@@ -403,94 +237,41 @@ StatsFrame Server::statsFrame() const {
 
 void Server::log(const std::string& message) {
   if (log_stream_ != nullptr) {
-    std::lock_guard lock(log_mutex_);
     *log_stream_ << "groverd: " << message << "\n" << std::flush;
   }
 }
 
-void Server::routeAccepted(int fd, Shard& acceptor) {
-  // Least-loaded shard, rotating on ties so equal-load picks spread
-  // round-robin. Only shard 0's loop thread routes, so next_handoff_
-  // needs no lock; loads are atomics because shards decrement them.
-  Shard* target = &acceptor;
-  if (shards_.size() > 1) {
-    std::size_t bestLoad = std::numeric_limits<std::size_t>::max();
-    std::size_t best = 0;
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      const std::size_t i = (next_handoff_ + k) % shards_.size();
-      const std::size_t load = shards_[i]->openConnections.load();
-      if (load < bestLoad) {
-        bestLoad = load;
-        best = i;
-      }
-    }
-    next_handoff_ = (best + 1) % shards_.size();
-    target = shards_[best].get();
-  }
-  // Count the connection against the target NOW, not when it adopts:
-  // several accepts in one tick must not all see the same stale load.
-  target->openConnections.fetch_add(1, std::memory_order_relaxed);
-  if (target == &acceptor) {
-    acceptor.adoptFd(fd);
-    return;
-  }
-  {
-    std::lock_guard lock(target->handoffMutex);
-    target->handoffFds.push_back(fd);
-  }
-  target->wake();
-}
-
 void Server::run() {
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size() > 0 ? shards_.size() - 1 : 0);
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    threads.emplace_back([shard = shards_[i].get()] { shard->run(); });
-  }
-  shards_[0]->run();
-  for (std::thread& t : threads) t.join();
-  log("drained, event loop exiting");
-}
-
-void Server::Shard::run() {
   Clock::time_point drainDeadline{};
-  const ServerConfig& config = server.config_;
   for (;;) {
-    if (server.stop_requested_.load(std::memory_order_relaxed) &&
-        !draining) {
-      draining = true;
+    if (stop_requested_.load(std::memory_order_relaxed) && !draining_) {
+      draining_ = true;
       drainDeadline = Clock::now() +
                       std::chrono::milliseconds(
-                          std::max(config.drainTimeoutMs, 0));
-      closeFd(tcpListenFd);
-      closeFd(unixListenFd);
-      drainHandoff();  // adoptFd sheds queued fds once draining
-      server.log(cat("shard ", index, " draining: ",
-                     server.admitted_.load(), " request(s) in flight, ",
-                     connections.size(), " connection(s) open"));
+                          std::max(config_.drainTimeoutMs, 0));
+      closeFd(tcp_listen_fd_);
+      closeFd(unix_listen_fd_);
+      log(cat("draining: ", admitted_.load(), " request(s) in flight, ",
+              connections_.size(), " connection(s) open"));
     }
 
-    if (draining) {
+    if (draining_) {
       // Close everything that has nothing left to say. In-flight
       // requests keep their connection until the response is flushed.
-      for (std::size_t i = connections.size(); i-- > 0;) {
-        Connection& c = *connections[i];
+      for (std::size_t i = connections_.size(); i-- > 0;) {
+        Connection& c = *connections_[i];
         if (c.inflight == 0 && !c.wantsWrite()) {
           closeConnection(c.connId);
         }
       }
-      // The admission count is global: a shard may only exit once no
-      // request is in flight anywhere, because completions for its
-      // connections drain through its own queue.
       const bool timedOut =
-          Clock::now() >= drainDeadline && config.drainTimeoutMs >= 0;
-      if (server.admitted_.load() == 0 &&
-          (connections.empty() || timedOut)) {
-        if (!connections.empty()) {
-          server.log(cat("shard ", index, " drain timeout: force-closing ",
-                         connections.size(), " connection(s)"));
-          while (!connections.empty()) {
-            closeConnection(connections.back()->connId);
+          Clock::now() >= drainDeadline && config_.drainTimeoutMs >= 0;
+      if (admitted_.load() == 0 && (connections_.empty() || timedOut)) {
+        if (!connections_.empty()) {
+          log(cat("drain timeout: force-closing ", connections_.size(),
+                  " connection(s)"));
+          while (!connections_.empty()) {
+            closeConnection(connections_.back()->connId);
           }
         }
         break;
@@ -501,20 +282,20 @@ void Server::Shard::run() {
     // backing off from an fd-exhausted accept(), leave the listeners
     // out so a backlog we cannot serve does not spin the loop.
     std::vector<pollfd> fds;
-    fds.push_back({wakeReadFd, POLLIN, 0});
+    fds.push_back({wake_read_fd_, POLLIN, 0});
     const Clock::time_point pollNow = Clock::now();
-    const bool acceptBackoff = pollNow < acceptBackoffUntil;
+    const bool acceptBackoff = pollNow < accept_backoff_until_;
     if (!acceptBackoff) {
-      if (tcpListenFd >= 0) fds.push_back({tcpListenFd, POLLIN, 0});
-      if (unixListenFd >= 0) fds.push_back({unixListenFd, POLLIN, 0});
+      if (tcp_listen_fd_ >= 0) fds.push_back({tcp_listen_fd_, POLLIN, 0});
+      if (unix_listen_fd_ >= 0) fds.push_back({unix_listen_fd_, POLLIN, 0});
     }
     const std::size_t firstConn = fds.size();
     // connId snapshot per connection pollfd: a handler can close a
     // connection and accept() can reuse its fd within this same round,
     // so an fd match alone does not prove the event's target is alive.
     std::vector<std::uint64_t> pollIds;
-    pollIds.reserve(connections.size());
-    for (const auto& conn : connections) {
+    pollIds.reserve(connections_.size());
+    for (const auto& conn : connections_) {
       short events = 0;
       // A poisoned connection only flushes its Error frame; a
       // half-closed one has nothing further to read.
@@ -525,10 +306,10 @@ void Server::Shard::run() {
     }
 
     int timeoutMs = -1;
-    if (config.idleTimeoutMs > 0 && !connections.empty()) {
-      timeoutMs = config.idleTimeoutMs;
+    if (config_.idleTimeoutMs > 0 && !connections_.empty()) {
+      timeoutMs = config_.idleTimeoutMs;
       const Clock::time_point now = Clock::now();
-      for (const auto& conn : connections) {
+      for (const auto& conn : connections_) {
         // In-flight work pins the connection: it is waiting on us, not
         // idle, however long the compile takes.
         if (conn->inflight > 0) continue;
@@ -538,16 +319,16 @@ void Server::Shard::run() {
                 .count();
         timeoutMs = std::min<int>(
             timeoutMs,
-            std::max<int>(0, config.idleTimeoutMs -
+            std::max<int>(0, config_.idleTimeoutMs -
                                  static_cast<int>(elapsed)));
       }
     }
-    if (draining) timeoutMs = timeoutMs < 0 ? 100 : std::min(timeoutMs, 100);
+    if (draining_) timeoutMs = timeoutMs < 0 ? 100 : std::min(timeoutMs, 100);
     if (acceptBackoff) {
       // Wake when the backoff expires so the listeners re-arm.
       const auto remain =
           std::chrono::duration_cast<std::chrono::milliseconds>(
-              acceptBackoffUntil - pollNow)
+              accept_backoff_until_ - pollNow)
               .count() +
           1;
       const int cap = static_cast<int>(
@@ -557,18 +338,16 @@ void Server::Shard::run() {
 
     const int ready = ::poll(fds.data(), fds.size(), timeoutMs);
     if (ready < 0 && errno != EINTR) {
-      server.log(cat("shard ", index,
-                     " poll failed: ", std::strerror(errno)));
+      log(cat("poll failed: ", std::strerror(errno)));
       break;
     }
 
-    // Wakeup pipe: drain it, then the handoff and completion queues.
+    // Wakeup pipe: drain it, then the completion queue.
     if (fds[0].revents & POLLIN) {
       char buf[256];
-      while (::read(wakeReadFd, buf, sizeof(buf)) > 0) {
+      while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
       }
     }
-    drainHandoff();
     drainCompletions();
 
     for (std::size_t i = 1; i < firstConn; ++i) {
@@ -578,10 +357,10 @@ void Server::Shard::run() {
     for (std::size_t i = firstConn; i < fds.size(); ++i) {
       const pollfd& p = fds[i];
       if (p.revents == 0) continue;
-      const auto it = connByFd.find(p.fd);
+      const auto it = conn_by_fd_.find(p.fd);
       // Closed this round (and the fd possibly reused by accept):
       // the id snapshot taken at poll-set build time is the proof.
-      if (it == connByFd.end() ||
+      if (it == conn_by_fd_.end() ||
           it->second->connId != pollIds[i - firstConn]) {
         continue;
       }
@@ -597,72 +376,35 @@ void Server::Shard::run() {
         handleReadable(conn);
       }
       // handleReadable may have closed it; re-find before writing.
-      const auto again = connById.find(connId);
-      if (again == connById.end()) continue;
+      const auto again = conn_by_id_.find(connId);
+      if (again == conn_by_id_.end()) continue;
       if (again->second->wantsWrite()) flushWrites(*again->second);
       // flushWrites may have closed it too (EPIPE, closeAfterFlush).
-      const auto fin = connById.find(connId);
-      if (fin != connById.end()) maybeCloseDrained(*fin->second);
+      const auto fin = conn_by_id_.find(connId);
+      if (fin != conn_by_id_.end()) maybeCloseDrained(*fin->second);
     }
 
     // Idle sweep.
-    if (config.idleTimeoutMs > 0) {
+    if (config_.idleTimeoutMs > 0) {
       const Clock::time_point now = Clock::now();
-      for (std::size_t i = connections.size(); i-- > 0;) {
-        Connection& c = *connections[i];
+      for (std::size_t i = connections_.size(); i-- > 0;) {
+        Connection& c = *connections_[i];
         if (c.inflight > 0 || c.wantsWrite()) continue;
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 now - c.lastActivity)
                 .count();
-        if (elapsed >= config.idleTimeoutMs) {
-          ++idleTimeouts;
+        if (elapsed >= config_.idleTimeoutMs) {
+          ++idle_timeouts_;
           closeConnection(c.connId);
         }
       }
     }
   }
+  log("drained, event loop exiting");
 }
 
-void Server::Shard::adoptFd(int fd) {
-  // The router already counted this fd against openConnections.
-  if (draining) {
-    ::close(fd);
-    openConnections.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  setNonBlocking(fd);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  auto conn = std::make_unique<Connection>(server.config_.maxPayload);
-  conn->fd = fd;
-  conn->connId =
-      server.next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-  conn->cancel = service::makeCancelToken();
-  conn->slot = connections.size();
-  Connection* raw = conn.get();
-  connections.push_back(std::move(conn));
-  connById.emplace(raw->connId, raw);
-  connByFd.emplace(fd, raw);
-  ++accepted;
-}
-
-void Server::Shard::drainHandoff() {
-  std::vector<int> fds;
-  {
-    std::lock_guard lock(handoffMutex);
-    fds.swap(handoffFds);
-  }
-  for (const int fd : fds) adoptFd(fd);
-}
-
-void Server::Shard::acceptPending(int listenFd) {
-  // Shard 0's listeners route across shards when there is more than one
-  // and the kernel is not already balancing via SO_REUSEPORT (the unix
-  // listener always routes). A shard's own SO_REUSEPORT listener adopts
-  // locally — the kernel picked this shard.
-  const bool route =
-      listenFd == unixListenFd || (server.tcp_handoff_ && index == 0);
+void Server::acceptPending(int listenFd) {
   for (;;) {
     const int fd = ::accept(listenFd, nullptr, nullptr);
     if (fd < 0) {
@@ -674,50 +416,61 @@ void Server::Shard::acceptPending(int listenFd) {
         // it (the peer sees a clean close instead of hanging), then
         // re-arm the reserve — and back the listeners off so the loop
         // does not spin on a backlog it cannot serve.
-        if (reserveFd >= 0) {
-          closeFd(reserveFd);
+        if (reserve_fd_ >= 0) {
+          closeFd(reserve_fd_);
           const int victim = ::accept(listenFd, nullptr, nullptr);
           if (victim >= 0) {
             ::close(victim);
-            ++acceptsShed;
+            ++accepts_shed_;
           }
-          reserveFd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+          reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
         }
-        acceptBackoffUntil =
+        accept_backoff_until_ =
             Clock::now() +
-            std::chrono::milliseconds(
-                std::max(server.config_.acceptBackoffMs, 0));
-        if (acceptErrnoLogged != errno) {
-          acceptErrnoLogged = errno;
-          server.log(cat("accept: ", std::strerror(errno),
-                         "; shedding and backing off ",
-                         server.config_.acceptBackoffMs, " ms"));
+            std::chrono::milliseconds(std::max(config_.acceptBackoffMs, 0));
+        if (accept_errno_logged_ != errno) {
+          accept_errno_logged_ = errno;
+          log(cat("accept: ", std::strerror(errno),
+                  "; shedding and backing off ", config_.acceptBackoffMs,
+                  " ms"));
         }
         return;
       }
       // Non-transient failure: log once per distinct errno, not per
       // poll round.
-      if (acceptErrnoLogged != errno) {
-        acceptErrnoLogged = errno;
-        server.log(cat("accept failed: ", std::strerror(errno)));
+      if (accept_errno_logged_ != errno) {
+        accept_errno_logged_ = errno;
+        log(cat("accept failed: ", std::strerror(errno)));
       }
       return;
     }
-    acceptErrnoLogged = 0;
-    if (route) {
-      server.routeAccepted(fd, *this);
-    } else {
-      openConnections.fetch_add(1, std::memory_order_relaxed);
-      adoptFd(fd);
-    }
+    accept_errno_logged_ = 0;
+    adoptFd(fd);
   }
 }
 
-void Server::Shard::handleReadable(Connection& conn) {
+void Server::adoptFd(int fd) {
+  setNonBlocking(fd);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  auto conn = std::make_unique<Connection>(config_.maxPayload);
+  conn->fd = fd;
+  conn->connId = next_conn_id_++;
+  conn->cancel = service::makeCancelToken();
+  conn->slot = connections_.size();
+  Connection* raw = conn.get();
+  connections_.push_back(std::move(conn));
+  conn_by_id_.emplace(raw->connId, raw);
+  conn_by_fd_.emplace(fd, raw);
+  ++open_connections_;
+  ++accepted_;
+}
+
+void Server::handleReadable(Connection& conn) {
   if (conn.closeAfterFlush || conn.readClosed) return;
   char buf[16384];
   std::size_t readThisTick = 0;
-  const std::size_t readBudget = server.config_.readBudgetBytes;
+  const std::size_t readBudget = config_.readBudgetBytes;
   for (;;) {
     std::size_t want = sizeof(buf);
     if (readBudget > 0) {
@@ -725,7 +478,7 @@ void Server::Shard::handleReadable(Connection& conn) {
         // Fairness: leave the rest in the kernel buffer and yield to
         // the other connections; the socket stays readable, so the
         // next poll round returns immediately to continue here.
-        ++readBudgetExhausted;
+        ++read_budget_exhausted_;
         break;
       }
       want = std::min(want, readBudget - readThisTick);
@@ -758,16 +511,16 @@ void Server::Shard::handleReadable(Connection& conn) {
     const FrameReader::Result r = conn.reader.next(frame);
     if (r == FrameReader::Result::NeedMore) break;
     if (r == FrameReader::Result::Error) {
-      ++protocolErrors;
-      server.log(cat("protocol error on connection #", conn.connId, ": ",
-                     conn.reader.error()));
+      ++protocol_errors_;
+      log(cat("protocol error on connection #", conn.connId, ": ",
+              conn.reader.error()));
       respond(conn, FrameType::Error, 0, Status::Malformed,
               conn.reader.error());
       conn.closeAfterFlush = true;
       flushWrites(conn);
       return;
     }
-    ++frames;
+    ++frames_;
     handleFrame(conn, std::move(frame));
     if (conn.closeAfterFlush) {
       flushWrites(conn);
@@ -776,12 +529,12 @@ void Server::Shard::handleReadable(Connection& conn) {
   }
 }
 
-void Server::Shard::handleFrame(Connection& conn, Frame frame) {
+void Server::handleFrame(Connection& conn, Frame frame) {
   switch (frame.type) {
     case FrameType::Request:
-    case FrameType::AutoRequest:
-      if (draining) {
-        ++shutdownRejected;
+    case FrameType::AutoRequest: {
+      if (draining_) {
+        ++shutdown_rejected_;
         respond(conn, FrameType::Response, frame.id, Status::ShuttingDown,
                 "error: daemon is shutting down");
         return;
@@ -789,52 +542,56 @@ void Server::Shard::handleFrame(Connection& conn, Frame frame) {
       // Per-connection credits first: a pipeliner past its own
       // allowance is rejected even while the global queue has room, so
       // one greedy client cannot starve the rest.
-      if (server.config_.clientCredits > 0 &&
-          conn.inflight >= server.config_.clientCredits) {
-        ++overloaded;
-        ++creditRejected;
+      if (config_.clientCredits > 0 &&
+          conn.inflight >= config_.clientCredits) {
+        ++overloaded_;
+        ++credit_rejected_;
         respond(conn, FrameType::Response, frame.id, Status::Overloaded,
                 cat("error: per-connection credit limit (",
-                    server.config_.clientCredits,
+                    config_.clientCredits, " in flight); retry later"));
+        return;
+      }
+      // Global bound, with the last admitReserve slots held back for a
+      // connection's FIRST outstanding request: even when pipeliners
+      // collectively fill the queue, a polite serial client still
+      // admits.
+      const std::size_t cap = config_.maxAdmitted;
+      const std::size_t reserve =
+          cap > 0 ? std::min(config_.admitReserve, cap - 1) : 0;
+      const std::size_t limit = conn.inflight == 0 ? cap : cap - reserve;
+      if (admitted_.load() >= limit) {
+        ++overloaded_;
+        respond(conn, FrameType::Response, frame.id, Status::Overloaded,
+                cat("error: admission queue full (", config_.maxAdmitted,
                     " in flight); retry later"));
         return;
       }
-      // Global bound, shared across shards through one atomic, with the
-      // last admitReserve slots held back for a connection's FIRST
-      // outstanding request: even when pipeliners collectively fill the
-      // queue, a polite serial client still admits.
-      if (!server.tryAdmit(conn.inflight == 0)) {
-        ++overloaded;
-        respond(conn, FrameType::Response, frame.id, Status::Overloaded,
-                cat("error: admission queue full (",
-                    server.config_.maxAdmitted, " in flight); retry later"));
-        return;
-      }
-      ++admittedTotal;
+      ++admitted_;
+      ++admitted_total_;
       ++conn.inflight;
       // Admission is activity: the idle clock must not tick against a
       // connection while its request crawls through a cold compile.
       conn.lastActivity = Clock::now();
       dispatchRequest(conn, frame.type, frame.id, std::move(frame.payload));
       return;
+    }
     case FrameType::Stats:
       respond(conn, FrameType::StatsResponse, frame.id, Status::Ok,
-              server.renderStatsPayload());
+              renderStatsPayload());
       return;
     case FrameType::StatsBinary:
       respond(conn, FrameType::StatsBinaryResponse, frame.id, Status::Ok,
-              encodeStatsFrame(server.statsFrame()));
+              encodeStatsFrame(statsFrame()));
       return;
     case FrameType::Response:
     case FrameType::StatsResponse:
     case FrameType::StatsBinaryResponse:
     case FrameType::Error: {
-      ++protocolErrors;
+      ++protocol_errors_;
       const std::string reason =
           cat("unexpected frame type ",
               static_cast<std::uint16_t>(frame.type), " from client");
-      server.log(cat("protocol error on connection #", conn.connId, ": ",
-                     reason));
+      log(cat("protocol error on connection #", conn.connId, ": ", reason));
       respond(conn, FrameType::Error, frame.id, Status::Malformed, reason);
       conn.closeAfterFlush = true;
       return;
@@ -842,11 +599,11 @@ void Server::Shard::handleFrame(Connection& conn, Frame frame) {
   }
 }
 
-void Server::Shard::dispatchRequest(Connection& conn, FrameType type,
-                                    std::uint64_t id, std::string payload) {
+void Server::dispatchRequest(Connection& conn, FrameType type,
+                             std::uint64_t id, std::string payload) {
   const std::uint64_t connId = conn.connId;
-  server.workers_.submit([this, connId, id, type, cancel = conn.cancel,
-                          payload = std::move(payload)]() mutable {
+  workers_.submit([this, connId, id, type, cancel = conn.cancel,
+                   payload = std::move(payload)]() mutable {
     Completion c;
     c.connId = connId;
     c.requestId = id;
@@ -860,19 +617,18 @@ void Server::Shard::dispatchRequest(Connection& conn, FrameType type,
     } else {
       // The daemon's --prove policy applies to every request; the
       // grammar has no per-line way to opt out of safety.
-      entry.request.options.prove |= server.config_.prove;
+      entry.request.options.prove |= config_.prove;
       try {
         // Status::Ok means "the request was served" — a negative
         // artifact ("failed: <diagnostic>") is a served verdict, same
         // as local serve-batch, and must not fail the client's batch.
         if (type == FrameType::AutoRequest) {
           const service::AutoResult r =
-              server.service_.compileAuto(entry.request, cancel);
+              service_.compileAuto(entry.request, cancel);
           c.status = Status::Ok;
           c.text = renderAutoResultLine(r);
         } else {
-          const service::ArtifactPtr a =
-              server.service_.run(entry.request, cancel);
+          const service::ArtifactPtr a = service_.run(entry.request, cancel);
           c.status = Status::Ok;
           c.text = renderResultLine(*a);
         }
@@ -882,27 +638,27 @@ void Server::Shard::dispatchRequest(Connection& conn, FrameType type,
       }
     }
     {
-      std::lock_guard lock(completionMutex);
-      completions.push_back(std::move(c));
+      std::lock_guard lock(completion_mutex_);
+      completions_.push_back(std::move(c));
     }
     wake();
   });
 }
 
-void Server::Shard::drainCompletions() {
+void Server::drainCompletions() {
   std::vector<Completion> done;
   {
-    std::lock_guard lock(completionMutex);
-    done.swap(completions);
+    std::lock_guard lock(completion_mutex_);
+    done.swap(completions_);
   }
   for (Completion& c : done) {
-    server.admitted_.fetch_sub(1, std::memory_order_relaxed);
-    const auto it = connById.find(c.connId);
-    if (it == connById.end()) {
+    --admitted_;
+    const auto it = conn_by_id_.find(c.connId);
+    if (it == conn_by_id_.end()) {
       // Client disconnected mid-request: the work finished in the
       // service (or was abandoned at a stage boundary, if every waiter
       // was gone); only the reply has nowhere to go.
-      ++disconnected;
+      ++disconnected_;
       continue;
     }
     Connection& conn = *it->second;
@@ -913,20 +669,19 @@ void Server::Shard::drainCompletions() {
     flushWrites(conn);
     // flushWrites may have closed the connection; if it survived and
     // its peer half-closed, this response may have been its last duty.
-    const auto again = connById.find(c.connId);
-    if (again != connById.end()) maybeCloseDrained(*again->second);
+    const auto again = conn_by_id_.find(c.connId);
+    if (again != conn_by_id_.end()) maybeCloseDrained(*again->second);
   }
 }
 
-void Server::Shard::respond(Connection& conn, FrameType type,
-                            std::uint64_t id, Status status,
-                            std::string_view text) {
+void Server::respond(Connection& conn, FrameType type, std::uint64_t id,
+                     Status status, std::string_view text) {
   appendStatusFrame(conn.writeBuf, type, id, status, text);
-  ++responses;
+  ++responses_;
   conn.lastActivity = Clock::now();
 }
 
-void Server::Shard::flushWrites(Connection& conn) {
+void Server::flushWrites(Connection& conn) {
   while (conn.wantsWrite()) {
     const ssize_t n =
         ::send(conn.fd, conn.writeBuf.data() + conn.writeOff,
@@ -947,33 +702,33 @@ void Server::Shard::flushWrites(Connection& conn) {
   }
 }
 
-void Server::Shard::maybeCloseDrained(Connection& conn) {
+void Server::maybeCloseDrained(Connection& conn) {
   if (conn.readClosed && conn.inflight == 0 && !conn.wantsWrite()) {
     closeConnection(conn.connId);
   }
 }
 
-void Server::Shard::closeConnection(std::uint64_t connId) {
-  const auto it = connById.find(connId);
-  if (it == connById.end()) return;
+void Server::closeConnection(std::uint64_t connId) {
+  const auto it = conn_by_id_.find(connId);
+  if (it == conn_by_id_.end()) return;
   Connection* conn = it->second;
   // Tell in-flight service work this waiter is gone; cold stages poll
   // the token and abandon the compile once EVERY waiter has cancelled.
   if (conn->cancel != nullptr) {
     conn->cancel->store(true, std::memory_order_relaxed);
   }
-  connByFd.erase(conn->fd);
-  connById.erase(it);
+  conn_by_fd_.erase(conn->fd);
+  conn_by_id_.erase(it);
   closeFd(conn->fd);
   // Swap-pop keeps close O(1); slot indices track the move.
   const std::size_t slot = conn->slot;
-  if (slot + 1 != connections.size()) {
-    std::swap(connections[slot], connections.back());
-    connections[slot]->slot = slot;
+  if (slot + 1 != connections_.size()) {
+    std::swap(connections_[slot], connections_.back());
+    connections_[slot]->slot = slot;
   }
-  connections.pop_back();
-  openConnections.fetch_sub(1, std::memory_order_relaxed);
-  ++closed;
+  connections_.pop_back();
+  --open_connections_;
+  ++closed_;
 }
 
 std::string Server::renderStatsPayload() {
@@ -981,17 +736,8 @@ std::string Server::renderStatsPayload() {
   opts.policy = true;
   opts.measure = true;
   opts.prove = config_.prove;
-  std::string text = renderStats(service_.stats(), opts);
-  const ServerStats s = stats();
-  text += renderServerLine(toCounters(s), openConnections());
-  // The shard breakdown only appears when there is one: the single-loop
-  // server renders exactly what it always did.
-  if (shards_.size() > 1) {
-    for (std::size_t i = 0; i < s.shards.size(); ++i) {
-      text += renderShardLine(i, toCounters(s.shards[i]));
-    }
-  }
-  return text;
+  return renderStats(service_.stats(), opts) +
+         renderServerLine(stats(), open_connections_.load());
 }
 
 }  // namespace grover::net

@@ -1,25 +1,18 @@
-// groverd's serving core (DESIGN.md §12): poll()-based event loops over
-// TCP (and optionally Unix-domain) listeners, per-connection request
-// pipelining of wire.h frames, and a bounded admission queue feeding a
-// support::ThreadPool that runs requests through a CompileService.
+// groverd's serving core (DESIGN.md §12): one poll()-based event loop
+// over a TCP (and optionally a Unix-domain) listener, per-connection
+// request pipelining of wire.h frames, and a bounded admission queue
+// feeding a support::ThreadPool that runs requests through a
+// CompileService.
 //
-// Threading model: the server runs ServerConfig::loopShards independent
-// event loops. EACH shard's loop thread owns that shard's sockets,
-// connection state machines, and counters; shards share nothing but the
-// service, the worker pool, and the global admission count (an atomic).
-// With loopShards == 1 this degenerates to the original single-loop
-// design. TCP connections land on shards via per-shard SO_REUSEPORT
-// listeners (the kernel load-balances accepts); when that is disabled —
-// or for the Unix-domain listener, which cannot be usefully duplicated —
-// shard 0 accepts and hands the fd to the least-loaded shard.
-//
+// Threading model: the thread that calls run() is the loop thread. It
+// owns every socket, connection state machine and the admission count.
 // Worker threads only execute service calls and hand finished responses
-// back through the owning shard's mutex-guarded completion queue plus a
-// self-pipe wakeup; they never touch a socket. requestStop() is
-// async-signal-safe (one pipe write per shard), so SIGINT/SIGTERM
-// handlers can trigger a graceful drain: stop accepting, reject new
-// requests with Status::ShuttingDown, finish every admitted request,
-// flush, exit run().
+// back through a mutex-guarded completion queue plus a self-pipe wakeup;
+// they never touch a socket. The counters are atomics, so stats() and
+// statsFrame() are readable from any thread. requestStop() is
+// async-signal-safe (one pipe write), so SIGINT/SIGTERM handlers can
+// trigger a graceful drain: stop accepting, reject new requests with
+// Status::ShuttingDown, finish every admitted request, flush, exit run().
 #pragma once
 
 #include <atomic>
@@ -29,6 +22,8 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/wire.h"
@@ -48,9 +43,8 @@ struct ServerConfig {
   /// proves no live daemon owns it (ECONNREFUSED).
   std::string unixPath;
   /// Bounded admission queue: requests admitted (queued or executing)
-  /// at once, across all connections and shards. Excess requests are
-  /// answered immediately with Status::Overloaded — backpressure, not
-  /// OOM.
+  /// at once, across all connections. Excess requests are answered
+  /// immediately with Status::Overloaded — backpressure, not OOM.
   std::size_t maxAdmitted = 128;
   /// Per-connection admission credits: how many requests ONE connection
   /// may hold admitted at once. A pipeliner past its credits is answered
@@ -74,7 +68,6 @@ struct ServerConfig {
   /// a listener that cannot be served.
   int acceptBackoffMs = 100;
   /// Worker threads executing service calls (0 = hardware concurrency).
-  /// One pool is shared by all shards.
   unsigned workers = 0;
   /// Close connections with no in-flight request and no traffic for
   /// this long; <= 0 disables the timeout. A connection waiting on a
@@ -87,53 +80,11 @@ struct ServerConfig {
   int drainTimeoutMs = 5000;
   /// Per-frame payload bound (Status::Malformed beyond it).
   std::size_t maxPayload = kMaxPayload;
-  /// Independent event-loop shards. 1 (the default) is the original
-  /// single-loop server. Each shard has its own poll set, connection
-  /// maps, completion queue, and wakeup pipe; admission stays globally
-  /// bounded by maxAdmitted across all of them.
-  std::size_t loopShards = 1;
-  /// With loopShards > 1: give every shard its own SO_REUSEPORT TCP
-  /// listener so the kernel spreads accepts (no cross-thread handoff on
-  /// the accept path). When false — or when the socket option is
-  /// unavailable — shard 0 owns the only TCP listener and hands each
-  /// accepted fd to the least-loaded shard, which is also always how
-  /// Unix-domain connections are distributed.
-  bool reusePort = true;
   /// Run the symbolic race prover on every request (groverd --prove):
   /// options.prove is forced onto each parsed grammar line, so a
   /// transformed kernel whose original was race-free but whose
   /// transformed IR is Refuted is never served.
   bool prove = false;
-};
-
-/// Event-loop counters. `shards` holds the per-shard breakdown (one
-/// entry per loop shard, nested `shards` empty); the top-level fields
-/// are the exact sums of the per-shard values, snapshotted from the
-/// same atomic reads so sum == total holds in every snapshot.
-struct ServerStats {
-  std::uint64_t connectionsAccepted = 0;
-  std::uint64_t connectionsClosed = 0;
-  std::uint64_t framesReceived = 0;
-  std::uint64_t requestsAdmitted = 0;
-  std::uint64_t responsesSent = 0;
-  std::uint64_t rejectedOverload = 0;
-  /// Of the overload rejections, those caused by one connection
-  /// exhausting its own credits (ServerConfig::clientCredits) rather
-  /// than the global queue filling up.
-  std::uint64_t rejectedClientCredit = 0;
-  std::uint64_t rejectedShutdown = 0;
-  std::uint64_t protocolErrors = 0;
-  /// Completions whose connection was gone by the time the request
-  /// finished — the request itself still ran to completion.
-  std::uint64_t disconnectedMidRequest = 0;
-  std::uint64_t idleTimeouts = 0;
-  /// Event-loop ticks on which a connection hit its per-tick read
-  /// budget (ServerConfig::readBudgetBytes) and yielded to its peers.
-  std::uint64_t readBudgetExhausted = 0;
-  /// Connections shed (accepted then immediately closed) because the
-  /// process was out of file descriptors.
-  std::uint64_t acceptsShed = 0;
-  std::vector<ServerStats> shards;
 };
 
 class Server {
@@ -147,33 +98,31 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Create, bind and listen on the configured sockets (one TCP
-  /// listener per shard under SO_REUSEPORT, otherwise a single routing
-  /// listener on shard 0). Throws GroverError on any socket failure
-  /// (port in use, live daemon on the unix path).
+  /// Create, bind and listen on the configured sockets. Throws
+  /// GroverError on any socket failure (port in use, live daemon on the
+  /// unix path).
   void bind();
 
-  /// The event loops. Spawns loopShards-1 shard threads, runs shard 0
-  /// on the calling thread, and returns after requestStop() once every
-  /// admitted request has completed and responses are flushed (or the
-  /// drain timeout forced the remaining connections closed). Call
-  /// bind() first.
+  /// The event loop, on the calling thread. Returns after requestStop()
+  /// once every admitted request has completed and responses are
+  /// flushed (or the drain timeout forced the remaining connections
+  /// closed). Call bind() first.
   void run();
 
   /// Begin a graceful drain. Async-signal-safe and callable from any
-  /// thread (it only writes one byte per shard wakeup pipe).
+  /// thread (it only writes one byte to the wakeup pipe).
   void requestStop() noexcept;
 
   /// Bound TCP port (after bind(); the ephemeral port when config.port
   /// was 0) — 0 when no TCP listener exists.
   [[nodiscard]] std::uint16_t port() const { return bound_port_; }
 
-  /// Totals plus the per-shard breakdown. Callable from any thread.
-  [[nodiscard]] ServerStats stats() const;
+  /// Event-loop counters. Callable from any thread.
+  [[nodiscard]] StatsCounters stats() const;
 
   /// The binary stats/health snapshot a StatsBinary request returns
-  /// (uptime, live gauges, totals, per-shard counters). Callable from
-  /// any thread — groverd's --health-interval thread uses it directly.
+  /// (uptime, live gauges, counters). Callable from any thread —
+  /// groverd's --health-interval thread uses it directly.
   [[nodiscard]] StatsFrame statsFrame() const;
 
  private:
@@ -184,40 +133,69 @@ class Server {
     Status status = Status::Ok;
     std::string text;
   };
-  struct Shard;
 
-  /// Global admission bound shared by all shards: CAS on admitted_
-  /// preserving the maxAdmitted/admitReserve semantics (the reserve
-  /// slots only admit a connection's first outstanding request).
-  bool tryAdmit(bool firstOutstanding);
-  /// Route an accepted fd to the least-loaded shard (round-robin on
-  /// ties). Called only from shard 0's loop thread.
-  void routeAccepted(int fd, Shard& acceptor);
+  void wake() noexcept;
+  void acceptPending(int listenFd);
+  void adoptFd(int fd);
+  void handleReadable(Connection& conn);
+  void handleFrame(Connection& conn, Frame frame);
+  void dispatchRequest(Connection& conn, FrameType type, std::uint64_t id,
+                       std::string payload);
+  void respond(Connection& conn, FrameType type, std::uint64_t id,
+               Status status, std::string_view text);
+  void flushWrites(Connection& conn);
+  void maybeCloseDrained(Connection& conn);
+  void closeConnection(std::uint64_t connId);
+  void drainCompletions();
   [[nodiscard]] std::string renderStatsPayload();
-  [[nodiscard]] std::uint64_t openConnections() const;
   void log(const std::string& message);
 
   service::CompileService& service_;
   ServerConfig config_;
   std::ostream* log_stream_;
-  std::mutex log_mutex_;  // shard threads log concurrently
 
+  int tcp_listen_fd_ = -1;
+  int unix_listen_fd_ = -1;
+  int wake_read_fd_ = -1;
+  int wake_write_fd_ = -1;
   std::uint16_t bound_port_ = 0;
   /// Set when bind() created the unix socket file, so the destructor
   /// only unlinks a path this server actually owns.
   bool unix_bound_ = false;
-  /// Shard 0 routes accepted TCP fds instead of adopting them (single
-  /// listener: reusePort disabled or unavailable).
-  bool tcp_handoff_ = false;
-  std::size_t next_handoff_ = 0;  // rotating tiebreak; shard-0 loop only
 
-  ThreadPool workers_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Cross-thread: workers push completions, the loop drains them.
+  std::mutex completion_mutex_;
+  std::vector<Completion> completions_;
 
-  std::atomic<std::uint64_t> next_conn_id_{1};
+  // Counters: written only by the loop thread, atomics so stats() and
+  // statsFrame() can read them from anywhere.
+  std::atomic<std::uint64_t> accepted_{0}, closed_{0}, frames_{0},
+      admitted_total_{0}, responses_{0}, overloaded_{0}, credit_rejected_{0},
+      shutdown_rejected_{0}, protocol_errors_{0}, disconnected_{0},
+      idle_timeouts_{0}, read_budget_exhausted_{0}, accepts_shed_{0};
+  /// Requests admitted and not yet completed, and open connections.
   std::atomic<std::size_t> admitted_{0};
+  std::atomic<std::size_t> open_connections_{0};
   std::atomic<bool> stop_requested_{false};
   std::chrono::steady_clock::time_point started_at_;
+
+  // Loop-thread state.
+  std::vector<std::unique_ptr<Connection>> connections_;
+  std::unordered_map<std::uint64_t, Connection*> conn_by_id_;
+  std::unordered_map<int, Connection*> conn_by_fd_;
+  std::uint64_t next_conn_id_ = 1;
+  bool draining_ = false;
+  // EMFILE recovery: a reserve fd (to /dev/null) we can close to free a
+  // descriptor, accept the pending connection, shed it, and re-open the
+  // reserve — so the kernel backlog cannot wedge full of connections we
+  // will never see. Plus a listener-poll backoff to avoid spinning.
+  int reserve_fd_ = -1;
+  std::chrono::steady_clock::time_point accept_backoff_until_{};
+  int accept_errno_logged_ = 0;
+
+  /// Runs every request; ~Server waits for it to go idle before closing
+  /// the wakeup pipe its tasks write.
+  ThreadPool workers_;
 };
 
 }  // namespace grover::net

@@ -50,10 +50,11 @@ bool knownType(std::uint16_t t) {
          t <= static_cast<std::uint16_t>(FrameType::StatsBinaryResponse);
 }
 
-// Fixed-size prefix of a StatsFrame before the counter blocks:
-// version u16, shard count u16, then nine u64 health fields.
-constexpr std::size_t kStatsFramePrefix = 4 + 9 * 8;
-constexpr std::size_t kStatsCountersBytes = kStatsCounterCount * 8;
+// A StatsFrame on the wire: version u16, nine u64 health fields, then
+// the counter block.
+constexpr std::size_t kStatsFramePrefix = 2 + 9 * 8;
+constexpr std::size_t kStatsFrameBytes =
+    kStatsFramePrefix + kStatsCounterCount * 8;
 
 void putCounters(std::string& out, const StatsCounters& c) {
   putU64(out, c.connectionsAccepted);
@@ -113,15 +114,13 @@ bool operator==(const StatsFrame& a, const StatsFrame& b) {
          a.measurementsDropped == b.measurementsDropped &&
          a.measureQueueBacklog == b.measureQueueBacklog &&
          a.proofsRun == b.proofsRun && a.proofsRefuted == b.proofsRefuted &&
-         a.totals == b.totals && a.shards == b.shards;
+         a.totals == b.totals;
 }
 
 std::string encodeStatsFrame(const StatsFrame& frame) {
   std::string out;
-  out.reserve(kStatsFramePrefix +
-              kStatsCountersBytes * (1 + frame.shards.size()));
+  out.reserve(kStatsFrameBytes);
   putU16(out, frame.version);
-  putU16(out, static_cast<std::uint16_t>(frame.shards.size()));
   putU64(out, frame.uptimeMs);
   putU64(out, frame.admittedNow);
   putU64(out, frame.connectionsOpen);
@@ -132,7 +131,6 @@ std::string encodeStatsFrame(const StatsFrame& frame) {
   putU64(out, frame.proofsRun);
   putU64(out, frame.proofsRefuted);
   putCounters(out, frame.totals);
-  for (const StatsCounters& shard : frame.shards) putCounters(out, shard);
   return out;
 }
 
@@ -142,41 +140,32 @@ bool decodeStatsFrame(std::string_view data, StatsFrame& out,
     if (error) *error = std::move(why);
     return false;
   };
-  if (data.size() < 4) return fail("stats frame truncated before header");
+  if (data.size() < 2) return fail("stats frame truncated before header");
   const std::uint16_t version = getU16(data.data());
   if (version != kStatsFrameVersion) {
     return fail(cat("unsupported stats frame version ", version,
                     " (this build speaks v", kStatsFrameVersion, ")"));
   }
-  const std::uint16_t shardCount = getU16(data.data() + 2);
-  const std::size_t expected =
-      kStatsFramePrefix +
-      kStatsCountersBytes * (1 + static_cast<std::size_t>(shardCount));
-  if (data.size() < expected) {
+  if (data.size() < kStatsFrameBytes) {
     return fail(cat("stats frame truncated: ", data.size(), " bytes, need ",
-                    expected, " for ", shardCount, " shards"));
+                    kStatsFrameBytes));
   }
-  if (data.size() > expected) {
-    return fail(cat("stats frame has ", data.size() - expected,
+  if (data.size() > kStatsFrameBytes) {
+    return fail(cat("stats frame has ", data.size() - kStatsFrameBytes,
                     " trailing bytes"));
   }
   const char* p = data.data();
   out.version = version;
-  out.uptimeMs = getU64(p + 4);
-  out.admittedNow = getU64(p + 12);
-  out.connectionsOpen = getU64(p + 20);
-  out.cancelled = getU64(p + 28);
-  out.measurements = getU64(p + 36);
-  out.measurementsDropped = getU64(p + 44);
-  out.measureQueueBacklog = getU64(p + 52);
-  out.proofsRun = getU64(p + 60);
-  out.proofsRefuted = getU64(p + 68);
+  out.uptimeMs = getU64(p + 2);
+  out.admittedNow = getU64(p + 10);
+  out.connectionsOpen = getU64(p + 18);
+  out.cancelled = getU64(p + 26);
+  out.measurements = getU64(p + 34);
+  out.measurementsDropped = getU64(p + 42);
+  out.measureQueueBacklog = getU64(p + 50);
+  out.proofsRun = getU64(p + 58);
+  out.proofsRefuted = getU64(p + 66);
   getCounters(p + kStatsFramePrefix, out.totals);
-  out.shards.assign(shardCount, StatsCounters{});
-  for (std::size_t i = 0; i < shardCount; ++i) {
-    getCounters(p + kStatsFramePrefix + kStatsCountersBytes * (1 + i),
-                out.shards[i]);
-  }
   return true;
 }
 

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace grover::net {
 
@@ -96,10 +95,9 @@ void appendStatusFrame(std::string& out, FrameType type, std::uint64_t id,
 bool splitStatusPayload(std::string_view payload, Status& status,
                         std::string_view& text);
 
-/// The event-loop counter block of one shard (or the whole server when
-/// used as the totals). Field order is the wire order; every counter is
-/// a little-endian u64 on the wire so a monitor can diff snapshots
-/// without parsing text.
+/// The event-loop counter block. Field order is the wire order; every
+/// counter is a little-endian u64 on the wire so a monitor can diff
+/// snapshots without parsing text.
 struct StatsCounters {
   std::uint64_t connectionsAccepted = 0;
   std::uint64_t connectionsClosed = 0;
@@ -107,12 +105,21 @@ struct StatsCounters {
   std::uint64_t requestsAdmitted = 0;
   std::uint64_t responsesSent = 0;
   std::uint64_t rejectedOverload = 0;
+  /// Of the overload rejections, those caused by one connection
+  /// exhausting its own credits (ServerConfig::clientCredits) rather
+  /// than the global queue filling up.
   std::uint64_t rejectedClientCredit = 0;
   std::uint64_t rejectedShutdown = 0;
   std::uint64_t protocolErrors = 0;
+  /// Completions whose connection was gone by the time the request
+  /// finished — the request itself still ran to completion.
   std::uint64_t disconnectedMidRequest = 0;
   std::uint64_t idleTimeouts = 0;
+  /// Event-loop ticks on which a connection hit its per-tick read
+  /// budget (ServerConfig::readBudgetBytes) and yielded to its peers.
   std::uint64_t readBudgetExhausted = 0;
+  /// Connections shed (accepted then immediately closed) because the
+  /// process was out of file descriptors.
   std::uint64_t acceptsShed = 0;
 
   friend bool operator==(const StatsCounters& a, const StatsCounters& b);
@@ -124,28 +131,27 @@ struct StatsCounters {
 /// Number of u64 counters in StatsCounters (wire layout).
 inline constexpr std::size_t kStatsCounterCount = 13;
 
-inline constexpr std::uint16_t kStatsFrameVersion = 2;
+inline constexpr std::uint16_t kStatsFrameVersion = 3;
 
 /// The versioned binary stats/health snapshot a StatsBinary request
-/// returns. Fixed little-endian layout:
+/// returns. Fixed little-endian layout, 178 bytes:
 ///
 ///   offset  size  field
 ///        0     2  version            (kStatsFrameVersion)
-///        2     2  shard count        (entries in `shards`)
-///        4     8  uptimeMs           daemon lifetime
-///       12     8  admittedNow        requests in flight right now
-///       20     8  connectionsOpen    currently open connections
-///       28     8  cancelled          service: cancelled cold compiles
-///       36     8  measurements       service: background measurements
-///       44     8  measurementsDropped service: queue-full drops
-///       52     8  measureQueueBacklog service: queue depth right now
-///       60     8  proofsRun          service: symbolic prover runs (v2)
-///       68     8  proofsRefuted      service: refuted kernels (v2)
-///       76   104  totals             StatsCounters (13 × u64)
-///      180  104×N per-shard          StatsCounters per shard, in order
+///        2     8  uptimeMs           daemon lifetime
+///       10     8  admittedNow        requests in flight right now
+///       18     8  connectionsOpen    currently open connections
+///       26     8  cancelled          service: cancelled cold compiles
+///       34     8  measurements       service: background measurements
+///       42     8  measurementsDropped service: queue-full drops
+///       50     8  measureQueueBacklog service: queue depth right now
+///       58     8  proofsRun          service: symbolic prover runs
+///       66     8  proofsRefuted      service: refuted kernels
+///       74   104  totals             StatsCounters (13 × u64)
 ///
-/// Version 2 inserted the two prover gauges before the totals; v1
-/// decoders reject v2 frames by the version check, never misparse them.
+/// Version 2 inserted the two prover gauges; version 3 dropped the
+/// shard count and the per-shard counter blocks. Decoders reject any
+/// other version by the version check, never misparse it.
 struct StatsFrame {
   std::uint16_t version = kStatsFrameVersion;
   std::uint64_t uptimeMs = 0;
@@ -158,7 +164,6 @@ struct StatsFrame {
   std::uint64_t proofsRun = 0;
   std::uint64_t proofsRefuted = 0;
   StatsCounters totals;
-  std::vector<StatsCounters> shards;
 
   friend bool operator==(const StatsFrame& a, const StatsFrame& b);
   friend bool operator!=(const StatsFrame& a, const StatsFrame& b) {

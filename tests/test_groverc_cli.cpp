@@ -162,8 +162,9 @@ TEST(GrovercCli, ServeBatchMissingFileFails) {
 }
 
 TEST(GrovercCli, BadNumericFlagValuesExitOneWithOneLineDiagnostic) {
-  // Zero, negative, and garbage values of every count flag get the same
-  // treatment: one diagnostic line naming the flag and value, exit 1.
+  // Zero, negative, garbage and out-of-range values of every count flag
+  // get the same treatment: one diagnostic line naming the flag and
+  // value, exit 1.
   const struct {
     const char* args;
     const char* flag;
@@ -176,6 +177,12 @@ TEST(GrovercCli, BadNumericFlagValuesExitOneWithOneLineDiagnostic) {
       {"--repeat=-1 x.cl", "--repeat"},
       {"--cache-mb=0 x.cl", "--cache-mb"},
       {"--cache-mb=xyz x.cl", "--cache-mb"},
+      // Past the destination's range: rejected, never wrapped.
+      {"--repeat=2147483648 x.cl", "--repeat"},
+      {"--repeat=4294967296 x.cl", "--repeat"},
+      {"--threads=4294967296 x.cl", "--threads"},
+      {"--threads=18446744073709551616 x.cl", "--threads"},
+      {"--cache-mb=17592186044416 x.cl", "--cache-mb"},  // 2^44: << 20 wraps
   };
   for (const auto& c : cases) {
     const RunResult r = runGroverc(c.args);

@@ -6,6 +6,7 @@
 // string.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -141,9 +142,50 @@ TEST(GroverdCli, HelpListsTheServingFlags) {
 }
 
 TEST(GroverdCli, UnknownFlagExitsTwo) {
-  const RunResult r = runCommand(std::string(GROVERD_PATH) + " --bogus");
-  EXPECT_EQ(r.exitCode, 2);
-  EXPECT_NE(r.output.find("unknown option"), std::string::npos) << r.output;
+  // The daemon has one event loop, so --loop-shards is unknown too.
+  for (const char* flag : {"--bogus", "--loop-shards=2"}) {
+    const RunResult r =
+        runCommand(std::string(GROVERD_PATH) + " " + flag);
+    EXPECT_EQ(r.exitCode, 2) << flag;
+    EXPECT_NE(r.output.find("unknown option: " + std::string(flag)),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+TEST(GroverdCli, BadNumericFlagValuesExitOneWithOneLineDiagnostic) {
+  // Garbage, negative, zero-where-positive and out-of-range values of
+  // every count flag: one diagnostic line naming the flag, exit 1. The
+  // trailing --version turns a wrongly accepted value into exit 0
+  // instead of a daemon that never returns.
+  const struct {
+    const char* args;
+    const char* flag;
+  } cases[] = {
+      {"--port=abc", "--port"},
+      {"--port=-1", "--port"},
+      {"--port=65536", "--port"},
+      {"--port=65537", "--port"},
+      {"--threads=0", "--threads"},
+      {"--threads=4294967296", "--threads"},
+      {"--max-queue=0", "--max-queue"},
+      {"--client-credits=x", "--client-credits"},
+      {"--cache-mb=17592186044416", "--cache-mb"},
+      {"--idle-timeout-ms=2147483648", "--idle-timeout-ms"},
+      {"--idle-timeout-ms=4294967296", "--idle-timeout-ms"},
+      {"--health-interval=2147483648", "--health-interval"},
+      {"--policy-horizon-ms=18446744073709551616", "--policy-horizon-ms"},
+  };
+  for (const auto& c : cases) {
+    const RunResult r = runCommand(std::string(GROVERD_PATH) + " " +
+                                   c.args + " --version");
+    EXPECT_EQ(r.exitCode, 1) << c.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("bad ") + c.flag + " value"),
+              std::string::npos)
+        << c.args << "\n" << r.output;
+    EXPECT_EQ(std::count(r.output.begin(), r.output.end(), '\n'), 1)
+        << c.args << "\n" << r.output;
+  }
 }
 
 TEST(GroverdCli, ServesColdThenWarmThenDrainsOnSigterm) {
@@ -218,12 +260,10 @@ TEST(GroverdCli, GrovercRejectsDaemonSideFlagsWithConnect) {
   fs::remove(batch);
 }
 
-TEST(GroverdCli, ShardedDaemonServesBinaryStatsEndToEnd) {
+TEST(GroverdCli, DaemonServesBinaryStatsEndToEnd) {
   Daemon daemon;
-  daemon.start({"--loop-shards=2"});
+  daemon.start();
   ASSERT_GT(daemon.port, 0);
-  EXPECT_NE(daemon.log.find("(2 loop shards)"), std::string::npos)
-      << daemon.log;
 
   const fs::path batch = tmpFile("stats.txt", "NVD-MT SNB test\n");
   const RunResult served = runCommand(std::string(GROVERC_PATH) +
@@ -231,14 +271,12 @@ TEST(GroverdCli, ShardedDaemonServesBinaryStatsEndToEnd) {
                                       " " + daemon.connectFlag());
   EXPECT_EQ(served.exitCode, 0) << served.output;
 
-  // The binary stats frame, decoded client-side: daemon gauges, the
-  // shard breakdown, and totals reflecting the request just served.
+  // The binary stats frame, decoded client-side: daemon gauges and
+  // totals reflecting the request just served.
   const RunResult stats = runCommand(std::string(GROVERC_PATH) + " " +
                                      daemon.connectFlag() + " --stats");
   EXPECT_EQ(stats.exitCode, 0) << stats.output;
   EXPECT_NE(stats.output.find("daemon: up "), std::string::npos)
-      << stats.output;
-  EXPECT_NE(stats.output.find("2 shard(s)"), std::string::npos)
       << stats.output;
   EXPECT_NE(stats.output.find("1 admitted"), std::string::npos)
       << stats.output;
@@ -246,9 +284,9 @@ TEST(GroverdCli, ShardedDaemonServesBinaryStatsEndToEnd) {
   const RunResult json = runCommand(std::string(GROVERC_PATH) + " " +
                                     daemon.connectFlag() + " --stats-json");
   EXPECT_EQ(json.exitCode, 0) << json.output;
-  EXPECT_NE(json.output.find("\"shards\":2"), std::string::npos)
+  EXPECT_NE(json.output.find("\"version\":3"), std::string::npos)
       << json.output;
-  EXPECT_NE(json.output.find("\"per_shard\":["), std::string::npos)
+  EXPECT_NE(json.output.find("\"requests_admitted\":1"), std::string::npos)
       << json.output;
 
   // --stats is its own mode: mixing it with a batch is rejected.

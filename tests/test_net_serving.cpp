@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,24 +35,11 @@ using grover::net::Frame;
 using grover::net::FrameType;
 using grover::net::Server;
 using grover::net::ServerConfig;
-using grover::net::ServerStats;
+using grover::net::StatsCounters;
 using grover::net::Status;
 using grover::service::CompileService;
 using grover::service::ServiceConfig;
 using grover::service::ServiceStats;
-
-/// GROVER_TEST_LOOP_SHARDS=N reruns this whole suite sharded (CI does
-/// so under TSan). Only applies to fixtures that did not ask for a
-/// shard count themselves, so explicit-config tests keep their setup.
-ServerConfig applyShardEnv(ServerConfig config) {
-  if (config.loopShards == 1) {
-    if (const char* env = std::getenv("GROVER_TEST_LOOP_SHARDS")) {
-      const int n = std::atoi(env);
-      if (n > 1) config.loopShards = static_cast<std::size_t>(n);
-    }
-  }
-  return config;
-}
 
 /// One service + one server + the event loop on a background thread.
 struct Serving {
@@ -64,7 +50,7 @@ struct Serving {
   explicit Serving(ServerConfig serverConfig = {},
                    ServiceConfig serviceConfig = {})
       : service(serviceConfig),
-        server(service, applyShardEnv(serverConfig)) {
+        server(service, serverConfig) {
     server.bind();
     loop = std::thread([this] { server.run(); });
   }
@@ -251,7 +237,7 @@ TEST(NetServing, ClientDisconnectMidRequestNeitherLeaksNorWedges) {
   const Reply r = request(client, "AMD-SS SNB test", 2);
   EXPECT_EQ(r.status, Status::Ok) << r.text;
 
-  const ServerStats stats = s.server.stats();
+  const StatsCounters stats = s.server.stats();
   EXPECT_EQ(stats.connectionsAccepted, 2u);
   EXPECT_EQ(stats.requestsAdmitted, 2u);
 }
@@ -316,7 +302,7 @@ TEST(NetServing, MalformedFrameGetsErrorThenClose) {
   // Connection-scoped violation: the daemon hangs up after the error.
   EXPECT_THROW((void)client.readFrame(), GroverError);
   EXPECT_TRUE(eventually([&] {
-    const ServerStats stats = s.server.stats();
+    const StatsCounters stats = s.server.stats();
     return stats.protocolErrors == 1 && stats.connectionsClosed == 1;
   }));
 }
@@ -399,7 +385,7 @@ TEST(NetServing, DrainCompletesInFlightRequestsThenExits) {
   EXPECT_THROW((void)client.readFrame(), GroverError);
 
   s.stop();  // run() must return promptly
-  const ServerStats stats = s.server.stats();
+  const StatsCounters stats = s.server.stats();
   EXPECT_EQ(stats.responsesSent, 2u);
   EXPECT_EQ(stats.connectionsClosed, stats.connectionsAccepted);
 }
@@ -552,7 +538,7 @@ TEST(NetServing, GreedyPipelinerIsRejectedWhilePoliteClientAdmits) {
   const Reply r = request(polite, "AMD-SS SNB test", 100);
   EXPECT_EQ(r.status, Status::Ok) << r.text;
 
-  const ServerStats stats = s.server.stats();
+  const StatsCounters stats = s.server.stats();
   EXPECT_EQ(stats.rejectedClientCredit, kBurst - 2);
   EXPECT_EQ(stats.rejectedOverload, kBurst - 2);
 }
@@ -697,103 +683,8 @@ TEST(NetServing, EmfileAcceptStormShedsAndRecovers) {
   }));
 }
 
-/// Fold one per-shard entry's counters into an accumulator — the same
-/// sum stats() itself performs, recomputed independently by the test.
-void accumulate(ServerStats& sum, const ServerStats& shard) {
-  sum.connectionsAccepted += shard.connectionsAccepted;
-  sum.connectionsClosed += shard.connectionsClosed;
-  sum.framesReceived += shard.framesReceived;
-  sum.requestsAdmitted += shard.requestsAdmitted;
-  sum.responsesSent += shard.responsesSent;
-  sum.rejectedOverload += shard.rejectedOverload;
-  sum.rejectedClientCredit += shard.rejectedClientCredit;
-  sum.rejectedShutdown += shard.rejectedShutdown;
-  sum.protocolErrors += shard.protocolErrors;
-  sum.disconnectedMidRequest += shard.disconnectedMidRequest;
-  sum.idleTimeouts += shard.idleTimeouts;
-  sum.readBudgetExhausted += shard.readBudgetExhausted;
-  sum.acceptsShed += shard.acceptsShed;
-}
-
-void expectShardsSumToTotals(const ServerStats& stats) {
-  ServerStats sum;
-  for (const ServerStats& shard : stats.shards) accumulate(sum, shard);
-  EXPECT_EQ(sum.connectionsAccepted, stats.connectionsAccepted);
-  EXPECT_EQ(sum.connectionsClosed, stats.connectionsClosed);
-  EXPECT_EQ(sum.framesReceived, stats.framesReceived);
-  EXPECT_EQ(sum.requestsAdmitted, stats.requestsAdmitted);
-  EXPECT_EQ(sum.responsesSent, stats.responsesSent);
-  EXPECT_EQ(sum.rejectedOverload, stats.rejectedOverload);
-  EXPECT_EQ(sum.rejectedClientCredit, stats.rejectedClientCredit);
-  EXPECT_EQ(sum.rejectedShutdown, stats.rejectedShutdown);
-  EXPECT_EQ(sum.protocolErrors, stats.protocolErrors);
-  EXPECT_EQ(sum.disconnectedMidRequest, stats.disconnectedMidRequest);
-  EXPECT_EQ(sum.idleTimeouts, stats.idleTimeouts);
-  EXPECT_EQ(sum.readBudgetExhausted, stats.readBudgetExhausted);
-  EXPECT_EQ(sum.acceptsShed, stats.acceptsShed);
-}
-
-TEST(NetServing, ShardedTrafficAggregatesPerShardToTotals) {
-  // Two shards with the handoff path (reusePort off): least-loaded
-  // routing is deterministic, so four concurrently-open connections
-  // MUST land on both shards — and every counter total must equal the
-  // sum of the per-shard breakdown.
-  ServerConfig serverConfig;
-  serverConfig.loopShards = 2;
-  serverConfig.reusePort = false;
-  Serving s(serverConfig);
-
-  constexpr std::size_t kClients = 4;
-  std::vector<Client> clients(kClients);
-  for (std::size_t i = 0; i < kClients; ++i) {
-    clients[i].connect(s.addr());
-    const Reply r = request(clients[i], "NVD-MT SNB test",
-                            static_cast<std::uint64_t>(i + 1));
-    EXPECT_EQ(r.status, Status::Ok) << r.text;
-  }
-
-  const ServerStats stats = s.server.stats();
-  ASSERT_EQ(stats.shards.size(), 2u);
-  EXPECT_EQ(stats.connectionsAccepted, kClients);
-  EXPECT_EQ(stats.responsesSent, kClients);
-  // Least-loaded handoff with all connections held open: neither shard
-  // can have taken them all.
-  EXPECT_GE(stats.shards[0].connectionsAccepted, 1u);
-  EXPECT_GE(stats.shards[1].connectionsAccepted, 1u);
-  // Per-shard entries carry no nested breakdown of their own.
-  EXPECT_TRUE(stats.shards[0].shards.empty());
-  expectShardsSumToTotals(stats);
-}
-
-TEST(NetServing, ReuseportShardsAggregateToTotals) {
-  // The SO_REUSEPORT path: the kernel picks the shard per connection
-  // (possibly the same one every time on loopback), so only the
-  // aggregation invariant is asserted, not the spread.
-  ServerConfig serverConfig;
-  serverConfig.loopShards = 2;
-  Serving s(serverConfig);
-
-  constexpr std::size_t kClients = 4;
-  std::vector<Client> clients(kClients);
-  for (std::size_t i = 0; i < kClients; ++i) {
-    clients[i].connect(s.addr());
-    const Reply r = request(clients[i], "AMD-SS SNB test",
-                            static_cast<std::uint64_t>(i + 1));
-    EXPECT_EQ(r.status, Status::Ok) << r.text;
-  }
-
-  const ServerStats stats = s.server.stats();
-  ASSERT_EQ(stats.shards.size(), 2u);
-  EXPECT_EQ(stats.connectionsAccepted, kClients);
-  EXPECT_EQ(stats.requestsAdmitted, kClients);
-  expectShardsSumToTotals(stats);
-}
-
 TEST(NetServing, BinaryStatsFrameRoundTripsOverTheWire) {
-  ServerConfig serverConfig;
-  serverConfig.loopShards = 2;
-  serverConfig.reusePort = false;
-  Serving s(serverConfig);
+  Serving s;
 
   Client client;
   client.connect(s.addr());
@@ -813,34 +704,11 @@ TEST(NetServing, BinaryStatsFrameRoundTripsOverTheWire) {
   ASSERT_TRUE(grover::net::decodeStatsFrame(payload, decoded, &error))
       << error;
   EXPECT_EQ(decoded.version, grover::net::kStatsFrameVersion);
-  ASSERT_EQ(decoded.shards.size(), 2u);
+  EXPECT_EQ(decoded.totals.connectionsAccepted, 1u);
   EXPECT_EQ(decoded.totals.requestsAdmitted, 1u);
+  EXPECT_EQ(decoded.totals.responsesSent, 1u);
   EXPECT_EQ(decoded.connectionsOpen, 1u);
   EXPECT_EQ(decoded.admittedNow, 0u);
-  // The snapshot reads each shard's atomics once and sums those same
-  // reads into the totals, so the invariant is exact, not eventual.
-  grover::net::StatsCounters sum;
-  const auto add = [](std::uint64_t grover::net::StatsCounters::* field,
-                      grover::net::StatsCounters& acc,
-                      const grover::net::StatsCounters& c) {
-    acc.*field += c.*field;
-  };
-  for (const grover::net::StatsCounters& shard : decoded.shards) {
-    add(&grover::net::StatsCounters::connectionsAccepted, sum, shard);
-    add(&grover::net::StatsCounters::connectionsClosed, sum, shard);
-    add(&grover::net::StatsCounters::framesReceived, sum, shard);
-    add(&grover::net::StatsCounters::requestsAdmitted, sum, shard);
-    add(&grover::net::StatsCounters::responsesSent, sum, shard);
-    add(&grover::net::StatsCounters::rejectedOverload, sum, shard);
-    add(&grover::net::StatsCounters::rejectedClientCredit, sum, shard);
-    add(&grover::net::StatsCounters::rejectedShutdown, sum, shard);
-    add(&grover::net::StatsCounters::protocolErrors, sum, shard);
-    add(&grover::net::StatsCounters::disconnectedMidRequest, sum, shard);
-    add(&grover::net::StatsCounters::idleTimeouts, sum, shard);
-    add(&grover::net::StatsCounters::readBudgetExhausted, sum, shard);
-    add(&grover::net::StatsCounters::acceptsShed, sum, shard);
-  }
-  EXPECT_EQ(sum, decoded.totals);
 }
 
 /// Count open descriptors via /proc/self/fd (Linux). The readdir fd

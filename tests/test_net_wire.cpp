@@ -196,32 +196,19 @@ grover::net::StatsFrame sampleStatsFrame() {
     c.acceptsShed = v++;
   };
   fill(f.totals);
-  f.shards.resize(2);
-  fill(f.shards[0]);
-  fill(f.shards[1]);
   return f;
 }
 
 TEST(NetWire, StatsFrameRoundTrips) {
   const grover::net::StatsFrame original = sampleStatsFrame();
   const std::string bytes = grover::net::encodeStatsFrame(original);
-  // 4-byte header, 9 u64 health fields (v2 added the two proof gauges),
-  // then 13 u64 counters for the totals and each of the two shards.
-  EXPECT_EQ(bytes.size(), 4 + 9 * 8 + 3 * (13 * 8));
+  // u16 version, 9 u64 health fields, then the 13 u64 counters.
+  EXPECT_EQ(bytes.size(), 2 + 9 * 8 + 13 * 8);
 
   grover::net::StatsFrame decoded;
   std::string error;
   ASSERT_TRUE(grover::net::decodeStatsFrame(bytes, decoded, &error))
       << error;
-  EXPECT_EQ(decoded, original);
-}
-
-TEST(NetWire, StatsFrameWithNoShardsRoundTrips) {
-  grover::net::StatsFrame original = sampleStatsFrame();
-  original.shards.clear();
-  grover::net::StatsFrame decoded;
-  ASSERT_TRUE(grover::net::decodeStatsFrame(
-      grover::net::encodeStatsFrame(original), decoded, nullptr));
   EXPECT_EQ(decoded, original);
 }
 
@@ -252,23 +239,20 @@ TEST(NetWire, StatsFrameTrailingBytesAreRejected) {
 }
 
 TEST(NetWire, StatsFrameUnknownVersionIsRejected) {
-  std::string bytes = grover::net::encodeStatsFrame(sampleStatsFrame());
-  bytes[0] = static_cast<char>(grover::net::kStatsFrameVersion + 1);
-  grover::net::StatsFrame decoded;
-  std::string error;
-  EXPECT_FALSE(grover::net::decodeStatsFrame(bytes, decoded, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-}
-
-TEST(NetWire, StatsFrameLyingShardCountIsTruncation) {
-  // Poisoned header: the shard count claims more blocks than the bytes
-  // carry. The decoder must size-check against the count, not trust it.
-  std::string bytes = grover::net::encodeStatsFrame(sampleStatsFrame());
-  bytes[2] = static_cast<char>(200);  // shard count, little-endian
-  grover::net::StatsFrame decoded;
-  std::string error;
-  EXPECT_FALSE(grover::net::decodeStatsFrame(bytes, decoded, &error));
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+  // Version 2 is the layout v3 replaced (a shard count after the
+  // version, then per-shard counter blocks); it must fail the version
+  // check, never be misparsed as v3.
+  for (const int version : {2, grover::net::kStatsFrameVersion + 1}) {
+    std::string bytes = grover::net::encodeStatsFrame(sampleStatsFrame());
+    bytes[0] = static_cast<char>(version);
+    grover::net::StatsFrame decoded;
+    std::string error;
+    EXPECT_FALSE(grover::net::decodeStatsFrame(bytes, decoded, &error));
+    EXPECT_NE(error.find("unsupported stats frame version " +
+                         std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(NetWire, StatsBinaryFrameTypesRideTheFrameCodec) {

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 
 #include "support/diagnostics.h"
+#include "support/flags.h"
 #include "support/hash.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
@@ -28,6 +30,18 @@ TEST(Str, Padding) {
   EXPECT_EQ(padLeft("ab", 4), "  ab");
   EXPECT_EQ(padRight("ab", 4), "ab  ");
   EXPECT_EQ(padLeft("abcdef", 4), "abcdef");
+}
+
+TEST(Flags, ParseCountAcceptsOnlyDigitsInRange) {
+  EXPECT_EQ(parseCount("65535", 0, 65535), 65535u);
+  EXPECT_EQ(parseCount("0", 0, 10), 0u);
+  EXPECT_EQ(parseCount("18446744073709551615", 1, UINT64_MAX), UINT64_MAX);
+  EXPECT_FALSE(parseCount("65536", 0, 65535));
+  EXPECT_FALSE(parseCount("0", 1, 10));
+  EXPECT_FALSE(parseCount("18446744073709551616", 1, UINT64_MAX));
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "3junk", "0x10"}) {
+    EXPECT_FALSE(parseCount(bad, 0, UINT64_MAX)) << "'" << bad << "'";
+  }
 }
 
 TEST(Hash, StableAcrossRuns) {

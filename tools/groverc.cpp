@@ -24,6 +24,8 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -50,6 +52,7 @@
 #include "sym/prover.h"
 #include "sym/witness_check.h"
 #include "support/diagnostics.h"
+#include "support/flags.h"
 #include "support/io.h"
 #include "support/str.h"
 #include "support/version.h"
@@ -146,26 +149,6 @@ void printReport(const grover::grv::GroverResult& result) {
   if (result.barriersRemoved) {
     std::cout << "redundant local barriers removed\n";
   }
-}
-
-/// Strict positive-integer flag parse: the whole value must be digits and
-/// the result ≥ 1. Zero, negatives, and garbage all get the same one-line
-/// diagnostic and exit 1 (matching the groverfuzz --seeds handling) — a
-/// zero thread pool, zero-byte cache, or zero-iteration batch is never
-/// what the caller meant.
-std::uint64_t parseCountFlag(const char* flag, const std::string& value) {
-  // std::stoull accepts a leading '-' by wrapping; reject it explicitly.
-  if (!value.empty() && value[0] != '-') {
-    try {
-      std::size_t pos = 0;
-      const unsigned long long n = std::stoull(value, &pos);
-      if (pos == value.size() && n >= 1) return n;
-    } catch (const std::exception&) {
-    }
-  }
-  std::cerr << "groverc: bad " << flag << " value '" << value
-            << "' (expected a positive integer)\n";
-  std::exit(1);
 }
 
 std::vector<grover::perf::PlatformSpec> platformsByName(
@@ -663,7 +646,8 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--prove-report=", 0) == 0) {
       proveReport = arg.substr(15);
     } else if (arg.rfind("--policy-horizon-ms=", 0) == 0) {
-      policyHorizonMs = parseCountFlag("--policy-horizon-ms", arg.substr(20));
+      policyHorizonMs = grover::parseCountFlag(
+          "groverc", "--policy-horizon-ms", arg.substr(20), UINT64_MAX);
     } else if (arg == "--before") {
       showBefore = true;
     } else if (arg == "--report-only") {
@@ -679,10 +663,12 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--serve-batch=", 0) == 0) {
       batchFile = arg.substr(14);
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = static_cast<int>(parseCountFlag("--repeat", arg.substr(9)));
+      repeat = static_cast<int>(grover::parseCountFlag(
+          "groverc", "--repeat", arg.substr(9), INT_MAX));
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      cacheMb = static_cast<std::size_t>(
-          parseCountFlag("--cache-mb", arg.substr(11)));
+      // The byte budget is cacheMb << 20, so that must not overflow.
+      cacheMb = static_cast<std::size_t>(grover::parseCountFlag(
+          "groverc", "--cache-mb", arg.substr(11), SIZE_MAX >> 20));
       cacheMbSet = true;
     } else if (arg.rfind("--connect=", 0) == 0) {
       connectSpec = arg.substr(10);
@@ -717,10 +703,11 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          parseCountFlag("--threads", arg.substr(10)));
+      threads = static_cast<unsigned>(grover::parseCountFlag(
+          "groverc", "--threads", arg.substr(10), UINT_MAX));
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<unsigned>(parseCountFlag("--threads", argv[++i]));
+      threads = static_cast<unsigned>(grover::parseCountFlag(
+          "groverc", "--threads", argv[++i], UINT_MAX));
     } else if (arg == "--list-apps") {
       for (const auto& app : grover::apps::allApplications()) {
         std::cout << app->id() << "\n";

@@ -6,7 +6,7 @@
 //
 // Usage:
 //   groverd [--port=P] [--host=A] [--socket=PATH] [--threads=N]
-//           [--loop-shards=N] [--max-queue=N] [--client-credits=N]
+//           [--max-queue=N] [--client-credits=N]
 //           [--cache-mb=M] [--cache-dir=DIR] [--policy-dir=DIR]
 //           [--measure-rate=<f>] [--measure-queue-depth=N]
 //           [--prove] [--policy-horizon-ms=N]
@@ -19,8 +19,10 @@
 // requests complete, new ones are rejected with a shutting-down status,
 // and the process exits 0 after logging final stats.
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -33,6 +35,7 @@
 #include "net/server.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
+#include "support/flags.h"
 #include "support/version.h"
 
 namespace {
@@ -53,9 +56,6 @@ void usage() {
       "  --socket=PATH       also listen on a Unix-domain socket\n"
       "  --threads=N         service worker threads (default: hardware\n"
       "                      concurrency)\n"
-      "  --loop-shards=N     independent event-loop shards; each has its\n"
-      "                      own SO_REUSEPORT TCP listener and poll set\n"
-      "                      (default 1 = the single classic loop)\n"
       "  --max-queue=N       admission bound: requests in flight before\n"
       "                      new ones are rejected with an overload\n"
       "                      response (default 128)\n"
@@ -91,24 +91,6 @@ void usage() {
       "  --help              this text\n";
 }
 
-/// Strict positive-integer flag parse (same contract as groverc's):
-/// zero, negatives, and garbage get one diagnostic line and exit 1.
-std::uint64_t parseCountFlag(const char* flag, const std::string& value,
-                             bool allowZero = false) {
-  if (!value.empty() && value[0] != '-') {
-    try {
-      std::size_t pos = 0;
-      const unsigned long long n = std::stoull(value, &pos);
-      if (pos == value.size() && (n >= 1 || allowZero)) return n;
-    } catch (const std::exception&) {
-    }
-  }
-  std::cerr << "groverd: bad " << flag << " value '" << value
-            << "' (expected a " << (allowZero ? "non-negative" : "positive")
-            << " integer)\n";
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -125,29 +107,34 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--port=", 0) == 0) {
-      serverConfig.port = static_cast<std::uint16_t>(
-          parseCountFlag("--port", arg.substr(7), /*allowZero=*/true));
+      serverConfig.port = static_cast<std::uint16_t>(grover::parseCountFlag(
+          "groverd", "--port", arg.substr(7), UINT16_MAX, /*allowZero=*/true));
     } else if (arg.rfind("--host=", 0) == 0) {
       serverConfig.host = arg.substr(7);
     } else if (arg.rfind("--socket=", 0) == 0) {
       serverConfig.unixPath = arg.substr(9);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      serverConfig.workers = static_cast<unsigned>(
-          parseCountFlag("--threads", arg.substr(10)));
+      serverConfig.workers = static_cast<unsigned>(grover::parseCountFlag(
+          "groverd", "--threads", arg.substr(10), UINT_MAX));
       serviceConfig.workers = serverConfig.workers;
     } else if (arg.rfind("--max-queue=", 0) == 0) {
+      // The service's own queue bound below is maxAdmitted + 16.
       serverConfig.maxAdmitted = static_cast<std::size_t>(
-          parseCountFlag("--max-queue", arg.substr(12)));
+          grover::parseCountFlag("groverd", "--max-queue", arg.substr(12),
+                                 SIZE_MAX - 16));
     } else if (arg.rfind("--client-credits=", 0) == 0) {
-      serverConfig.clientCredits = static_cast<std::size_t>(parseCountFlag(
-          "--client-credits", arg.substr(17), /*allowZero=*/true));
+      serverConfig.clientCredits = static_cast<std::size_t>(
+          grover::parseCountFlag("groverd", "--client-credits", arg.substr(17),
+                                 SIZE_MAX, /*allowZero=*/true));
     } else if (arg.rfind("--measure-queue-depth=", 0) == 0) {
-      serviceConfig.measureQueueDepth =
-          static_cast<std::size_t>(parseCountFlag(
-              "--measure-queue-depth", arg.substr(22), /*allowZero=*/true));
+      serviceConfig.measureQueueDepth = static_cast<std::size_t>(
+          grover::parseCountFlag("groverd", "--measure-queue-depth",
+                                 arg.substr(22), SIZE_MAX,
+                                 /*allowZero=*/true));
     } else if (arg.rfind("--cache-mb=", 0) == 0) {
-      cacheMb = static_cast<std::size_t>(
-          parseCountFlag("--cache-mb", arg.substr(11)));
+      // The byte budget is cacheMb << 20, so that must not overflow.
+      cacheMb = static_cast<std::size_t>(grover::parseCountFlag(
+          "groverd", "--cache-mb", arg.substr(11), SIZE_MAX >> 20));
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       serviceConfig.cache.diskDir = arg.substr(12);
     } else if (arg.rfind("--policy-dir=", 0) == 0) {
@@ -169,17 +156,18 @@ int main(int argc, char** argv) {
     } else if (arg == "--prove") {
       serverConfig.prove = true;
     } else if (arg.rfind("--policy-horizon-ms=", 0) == 0) {
-      serviceConfig.policyDecayHorizonMs = parseCountFlag(
-          "--policy-horizon-ms", arg.substr(20), /*allowZero=*/true);
+      serviceConfig.policyDecayHorizonMs =
+          grover::parseCountFlag("groverd", "--policy-horizon-ms",
+                                 arg.substr(20), UINT64_MAX,
+                                 /*allowZero=*/true);
     } else if (arg.rfind("--idle-timeout-ms=", 0) == 0) {
-      serverConfig.idleTimeoutMs = static_cast<int>(parseCountFlag(
-          "--idle-timeout-ms", arg.substr(18), /*allowZero=*/true));
-    } else if (arg.rfind("--loop-shards=", 0) == 0) {
-      serverConfig.loopShards = static_cast<std::size_t>(
-          parseCountFlag("--loop-shards", arg.substr(14)));
+      serverConfig.idleTimeoutMs = static_cast<int>(
+          grover::parseCountFlag("groverd", "--idle-timeout-ms",
+                                 arg.substr(18), INT_MAX, /*allowZero=*/true));
     } else if (arg.rfind("--health-interval=", 0) == 0) {
-      healthIntervalS = static_cast<int>(parseCountFlag(
-          "--health-interval", arg.substr(18), /*allowZero=*/true));
+      healthIntervalS = static_cast<int>(
+          grover::parseCountFlag("groverd", "--health-interval",
+                                 arg.substr(18), INT_MAX, /*allowZero=*/true));
     } else if (arg == "--version") {
       std::cout << "groverd " << GROVER_VERSION_STRING << " (protocol v"
                 << grover::net::kProtocolVersion << ")\n";
@@ -227,9 +215,6 @@ int main(int argc, char** argv) {
     } else {
       std::cout << serverConfig.unixPath;
     }
-    if (serverConfig.loopShards > 1) {
-      std::cout << " (" << serverConfig.loopShards << " loop shards)";
-    }
     std::cout << std::endl;  // flushed: scripts wait for this line
 
     // Periodic health line, driven by the same binary StatsFrame a
@@ -263,7 +248,7 @@ int main(int argc, char** argv) {
       health.join();
     }
 
-    const grover::net::ServerStats s = server.stats();
+    const grover::net::StatsCounters s = server.stats();
     const grover::service::ServiceStats svc = service.stats();
     std::cerr << "groverd: served " << s.responsesSent << " responses over "
               << s.connectionsAccepted << " connections ("
