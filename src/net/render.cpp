@@ -75,7 +75,8 @@ std::string renderStats(const service::ServiceStats& s,
     os << "policy: " << s.policyHits << " hits, " << s.policyMisses
        << " misses, " << s.policyStores << " decisions stored, "
        << s.policyFlips << " flips, " << s.policyMismatches
-       << " mismatches\n";
+       << " mismatches, " << s.featureKeysReused
+       << " feature keys reused\n";
     if (options.measure) {
       os << "measure: " << s.measurements << " measured ("
          << s.nativeMeasurements << " native), " << s.policyRefreshes

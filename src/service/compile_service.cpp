@@ -49,6 +49,21 @@ sym::ProofStatus worseOf(sym::ProofStatus a, sym::ProofStatus b) {
   return rank(a) >= rank(b) ? a : b;
 }
 
+/// Front-end compile of a policy-routed request into `program`. Returns
+/// null on success, else the negative artifact to serve.
+ArtifactPtr frontEnd(const Request& resolved, Program& program) {
+  DiagnosticEngine diags;
+  program = compileWithDiags(resolved.source, diags);
+  if (program.module == nullptr || diags.hasErrors()) {
+    return negative(diags.hasErrors() ? diags.str()
+                                      : "compilation produced no module");
+  }
+  if (program.kernel(resolved.kernelName) == nullptr) {
+    return negative("kernel '" + resolved.kernelName + "' not found");
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 CompileService::CompileService(ServiceConfig config)
@@ -78,9 +93,14 @@ Request CompileService::resolve(Request request) {
           "estimation requires a built-in app id (the app provides the "
           "dataset)");
     }
-    if (!perf::findPlatform(request.platform)) {
+    const std::optional<perf::PlatformSpec> spec =
+        perf::findPlatform(request.platform);
+    if (!spec) {
       throw GroverError("unknown platform '" + request.platform + "'");
     }
+    // findPlatform ignores case and cacheKey() does not: one spelling per
+    // platform keeps "snb" and "SNB" on one cache entry.
+    request.platform = spec->name;
   }
   return request;
 }
@@ -205,41 +225,52 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
     return out;
   }
   const perf::PlatformSpec spec = *perf::findPlatform(resolved.platform);
+  const std::uint64_t key = cacheKey(resolved);
 
-  // Front-end compile once (microseconds — see bench_ablation_pass_cost)
-  // to extract the feature vector the decision is keyed on.
-  DiagnosticEngine diags;
-  Program program = compileWithDiags(resolved.source, diags);
-  if (program.module == nullptr || diags.hasErrors()) {
-    out.artifact = negative(diags.hasErrors()
-                                ? diags.str()
-                                : "compilation produced no module");
-    return out;
+  // The feature vector the decision is keyed on comes from a front-end
+  // compile (~0.5 ms), so it is derived once per distinct request and
+  // memoized. `program` stays empty on a memo hit until a warm decision
+  // without a cached full artifact needs a module to build the winner.
+  Program program;
+  bool memoHit = false;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = feature_keys_.find(key); it != feature_keys_.end()) {
+      out.features = it->second.features;
+      out.policyKey = it->second.policyKey;
+      memoHit = true;
+    }
   }
-  ir::Function* kernel = program.kernel(resolved.kernelName);
-  if (kernel == nullptr) {
-    out.artifact =
-        negative("kernel '" + resolved.kernelName + "' not found");
-    return out;
+  if (memoHit) {
+    bump(&Counters::featureKeysReused);
+  } else {
+    if (ArtifactPtr failed = frontEnd(resolved, program)) {
+      out.artifact = std::move(failed);
+      return out;
+    }
+    const apps::Application& app = apps::applicationById(resolved.appId);
+    const apps::Instance instance = app.makeInstance(resolved.scale);
+    out.features = policy::extractFeatures(*program.kernel(resolved.kernelName),
+                                           &instance.range);
+    // The tag folds in everything that shapes the transform besides the
+    // kernel itself: the scale and the Grover options. The NVD-MM-A/B/AB
+    // family shares one kernel source (identical features) but disables
+    // different buffers — with different winners, so they must not share
+    // a decision.
+    Fnv1a tag;
+    tag.update(static_cast<std::uint64_t>(resolved.scale));
+    tag.update(
+        static_cast<std::uint64_t>(resolved.options.onlyBuffers.size()));
+    for (const std::string& b : resolved.options.onlyBuffers) {
+      tag.update(std::string_view(b));  // std::set iterates in sorted order
+    }
+    tag.update(resolved.options.removeBarriers);
+    tag.update(resolved.options.cleanup);
+    tag.update(resolved.options.prove);
+    out.policyKey = policy::featureKey(out.features, spec.name, tag.digest());
+    std::lock_guard lock(mutex_);
+    feature_keys_.try_emplace(key, FeatureKey{out.features, out.policyKey});
   }
-  const apps::Application& app = apps::applicationById(resolved.appId);
-  const apps::Instance instance = app.makeInstance(resolved.scale);
-  out.features = policy::extractFeatures(*kernel, &instance.range);
-  // The tag folds in everything that shapes the transform besides the
-  // kernel itself: the scale and the Grover options. The NVD-MM-A/B/AB
-  // family shares one kernel source (identical features) but disables
-  // different buffers — with different winners, so they must not share a
-  // decision.
-  Fnv1a tag;
-  tag.update(static_cast<std::uint64_t>(resolved.scale));
-  tag.update(static_cast<std::uint64_t>(resolved.options.onlyBuffers.size()));
-  for (const std::string& b : resolved.options.onlyBuffers) {
-    tag.update(std::string_view(b));  // std::set iterates in sorted order
-  }
-  tag.update(resolved.options.removeBarriers);
-  tag.update(resolved.options.cleanup);
-  tag.update(resolved.options.prove);
-  out.policyKey = policy::featureKey(out.features, spec.name, tag.digest());
   out.eligible = true;
 
   if (std::optional<policy::Decision> warm =
@@ -269,7 +300,7 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
     // serving it is free and strictly more informative.
     {
       StageTimer timer(*this, &Counters::cacheNs);
-      if (ArtifactPtr full = cache_.get(cacheKey(resolved))) {
+      if (ArtifactPtr full = cache_.get(key)) {
         out.artifact = full;
       }
     }
@@ -277,9 +308,15 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
       maybeMeasure(resolved, out, remeasure);
       return out;
     }
-    // Warm fast path: build only the winning variant from the module we
-    // already compiled. No second front-end run, no Grover/print for the
-    // losing variant, and no estimation at all.
+    // Warm fast path: build only the winning variant from one front-end
+    // compile — the one that derived the features on a memo miss. No
+    // Grover/print for the losing variant, and no estimation at all.
+    if (program.module == nullptr) {
+      if (ArtifactPtr failed = frontEnd(resolved, program)) {
+        out.artifact = std::move(failed);
+        return out;
+      }
+    }
     auto artifact = std::make_shared<Artifact>();
     if (warm->variant == policy::Variant::Transformed) {
       for (const auto& fn : program.module->functions()) {
@@ -709,6 +746,7 @@ ServiceStats CompileService::stats() const {
   s.policyHits = snap.policyHits;
   s.policyMisses = snap.policyMisses;
   s.policyStores = snap.policyStores;
+  s.featureKeysReused = snap.featureKeysReused;
   s.measurements = snap.measurements;
   s.nativeMeasurements = snap.nativeMeasurements;
   s.policyRefreshes = snap.policyRefreshes;

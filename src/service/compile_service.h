@@ -87,6 +87,9 @@ struct ServiceStats {
   std::uint64_t policyStores = 0;  // decisions learned this run
   std::uint64_t policyFlips = 0;   // decisions flipped by feedback
   std::uint64_t policyMismatches = 0;  // predicted-vs-measured flags
+  /// Requests whose feature vector and policy key came from the memo of
+  /// an earlier identical request (no front-end compile to derive them).
+  std::uint64_t featureKeysReused = 0;
   // Sampled real-execution measurements (config.measureRate).
   std::uint64_t measurements = 0;        // completed measurements
   std::uint64_t nativeMeasurements = 0;  // of those, ran as native code
@@ -177,10 +180,11 @@ class CompileService {
   }
 
   /// Policy-driven entry point (DESIGN.md §10). Extracts the kernel's
-  /// architecture-independent features, consults the decision store
-  /// keyed on (features, platform, scale), and on a warm decision
-  /// compiles and serves *only* the winning variant — the losing
-  /// variant's transform/print/estimate pipeline is skipped entirely.
+  /// architecture-independent features (once per distinct request; later
+  /// identical requests reuse them without compiling), consults the
+  /// decision store keyed on (features, platform, scale), and on a warm
+  /// decision compiles and serves *only* the winning variant — the
+  /// losing variant's transform/print/estimate pipeline is skipped.
   /// On a cold key the request runs through the normal cached pipeline
   /// (both variants + estimates), the engine derives the verdict at the
   /// paper's 5% threshold, and the decision is persisted. Requests
@@ -232,7 +236,8 @@ class CompileService {
   struct Counters {
     std::uint64_t requests = 0, memoryHits = 0, negativeHits = 0,
         coalesced = 0, misses = 0, diskHits = 0, compiles = 0, cancelled = 0;
-    std::uint64_t policyHits = 0, policyMisses = 0, policyStores = 0;
+    std::uint64_t policyHits = 0, policyMisses = 0, policyStores = 0,
+        featureKeysReused = 0;
     std::uint64_t measurements = 0, nativeMeasurements = 0,
         policyRefreshes = 0, measurementsDropped = 0;
     std::uint64_t proofsRun = 0, proofsProved = 0, proofsRefuted = 0,
@@ -315,6 +320,21 @@ class CompileService {
   /// policyKey → resolved request of the last compileAuto() that used
   /// it, so a mismatch can be re-estimated (guarded by mutex_).
   std::unordered_map<std::uint64_t, Request> auto_requests_;
+  /// cacheKey(resolved) → what compileAuto() derived from that request's
+  /// front-end compile (guarded by mutex_). Both are pure functions of
+  /// the resolved request, so a warm hit reads them here instead of
+  /// compiling. It holds no decision or artifact: every request still
+  /// reads the policy store, so feedback flips, refreshes, decay and the
+  /// Refuted guard apply to it. No eviction: only requests with a
+  /// platform get here, resolve() accepts a platform only for a built-in
+  /// app (which fixes source, kernel and onlyBuffers) and canonicalizes
+  /// its name, so at most 11 apps × 6 platforms × 2 scales × 2³ option
+  /// bits (removeBarriers, cleanup, prove) = 1056 entries can exist.
+  struct FeatureKey {
+    policy::KernelFeatures features;
+    std::uint64_t policyKey = 0;
+  };
+  std::unordered_map<std::uint64_t, FeatureKey> feature_keys_;
 
   /// Background measurement queue (ServiceConfig::measureQueueDepth):
   /// sampled requests enqueue here and a dedicated low-priority thread

@@ -3,7 +3,7 @@
 // the corrupt-entry fallback), feedback-driven decision flips, agreement
 // of DecisionEngine verdicts with the estimator-derived Table IV labels
 // on all 33 app×platform cases, and the compileAuto() warm path
-// skipping the losing variant's pipeline.
+// skipping the losing variant's pipeline and the front end.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -330,11 +330,64 @@ TEST(ServiceCompileAuto, WarmHitSkipsLoserPipelineAndEstimation) {
   EXPECT_EQ(s.policyHits, 1u);
   EXPECT_EQ(s.compiles, 0u) << "full pipeline must not run on a warm hit";
   EXPECT_EQ(s.estimateMs, 0.0);
+  EXPECT_EQ(s.featureKeysReused, 0u);
   // NVD-MT on SNB is the paper's flagship gain: the transformed variant
   // is served, and the losing (original) text was never printed.
   EXPECT_EQ(warm.decision.variant, policy::Variant::Transformed);
   EXPECT_TRUE(warm.artifact->originalText.empty());
+
+  // The same request again reuses the memoized feature key, but the
+  // partial artifact above was never cached: the winner is built from a
+  // front-end compile made on demand.
+  const service::AutoResult again = svc.compileAuto(request);
+  ASSERT_TRUE(again.eligible);
+  EXPECT_TRUE(again.policyHit);
+  EXPECT_EQ(again.policyKey, coldKey);
+  ASSERT_TRUE(again.artifact->ok);
+  EXPECT_EQ(again.servedText(), coldServedText);
+  EXPECT_TRUE(again.artifact->originalText.empty());
+  const service::ServiceStats s2 = svc.stats();
+  EXPECT_EQ(s2.compiles, 0u);
+  EXPECT_EQ(s2.featureKeysReused, 1u);
   fs::remove_all(dir);
+}
+
+TEST(ServiceCompileAuto, SharedSourceAppsKeepDistinctFeatureKeys) {
+  // NVD-MM-A, -B and -AB share one kernel source but disable different
+  // buffers; on SNB, A and B keep local memory while AB drops it. A memo
+  // keyed on the source alone would hand all three one decision.
+  const std::vector<std::string> ids = {"NVD-MM-A", "NVD-MM-B", "NVD-MM-AB"};
+  service::ServiceConfig config;
+  config.workers = 2;
+  service::CompileService svc(config);
+  const auto requestFor = [](const std::string& id) {
+    service::Request r;
+    r.appId = id;
+    r.platform = "SNB";
+    r.scale = apps::Scale::Test;
+    return r;
+  };
+
+  std::vector<service::AutoResult> cold;
+  for (const std::string& id : ids) {
+    cold.push_back(svc.compileAuto(requestFor(id)));
+    ASSERT_TRUE(cold.back().eligible) << id;
+    EXPECT_FALSE(cold.back().policyHit) << id;
+  }
+  EXPECT_EQ(cold[0].decision.variant, policy::Variant::Original);
+  EXPECT_EQ(cold[1].decision.variant, policy::Variant::Original);
+  EXPECT_EQ(cold[2].decision.variant, policy::Variant::Transformed);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const service::AutoResult warm = svc.compileAuto(requestFor(ids[i]));
+    EXPECT_TRUE(warm.policyHit) << ids[i];
+    EXPECT_EQ(warm.policyKey, cold[i].policyKey) << ids[i];
+    EXPECT_EQ(warm.features.str(), cold[i].features.str()) << ids[i];
+    EXPECT_EQ(warm.decision.variant, cold[i].decision.variant) << ids[i];
+  }
+  EXPECT_NE(cold[0].policyKey, cold[1].policyKey);
+  EXPECT_NE(cold[0].policyKey, cold[2].policyKey);
+  EXPECT_NE(cold[1].policyKey, cold[2].policyKey);
+  EXPECT_EQ(svc.stats().featureKeysReused, 3u);
 }
 
 TEST(ServiceCompileAuto, MeasurementFeedbackReachesTheStore) {

@@ -98,6 +98,67 @@ TEST(ServiceConcurrency, ConcurrentIdenticalSubmitsShareOneCompilation) {
   EXPECT_EQ(s.coalesced + s.memoryHits, kWaiters - 1);
 }
 
+TEST(ServiceConcurrency, ConcurrentAutoRequestsAgreeOnFeatureKeys) {
+  // Cold service, policy-routed requests racing on three keys: the
+  // feature-key memo must hand every caller of one key the same policy
+  // key and variant, and single-flight must still compile each key once.
+  const std::vector<std::string> keySet = {"NVD-MT", "AMD-MT", "AMD-SS"};
+  constexpr unsigned kThreads = 8;
+  constexpr unsigned kItersPerThread = 6;
+  constexpr unsigned kCalls = kThreads * kItersPerThread;
+
+  ServiceConfig config;
+  config.workers = 2;
+  CompileService service(config);
+  std::vector<std::vector<AutoResult>> seen(kThreads);
+  std::atomic<bool> go{false};
+  std::atomic<unsigned> failures{0};
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (unsigned i = 0; i < kItersPerThread; ++i) {
+        Request r = appRequest(keySet[(t + i) % keySet.size()]);
+        r.platform = "SNB";
+        r.scale = apps::Scale::Test;
+        try {
+          seen[t].push_back(service.compileAuto(std::move(r)));
+        } catch (const GroverError&) {
+          ++failures;
+        }
+      }
+    });
+  }
+  go = true;
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  std::map<std::string, const AutoResult*> canonical;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    unsigned i = 0;
+    for (const AutoResult& r : seen[t]) {
+      const std::string& id = keySet[(t + i++) % keySet.size()];
+      ASSERT_TRUE(r.eligible) << id;
+      ASSERT_TRUE(r.artifact->ok) << id;
+      const auto [it, inserted] = canonical.emplace(id, &r);
+      if (inserted) continue;
+      EXPECT_EQ(r.policyKey, it->second->policyKey) << id;
+      EXPECT_EQ(r.decision.variant, it->second->decision.variant) << id;
+      EXPECT_EQ(r.servedText(), it->second->servedText()) << id;
+    }
+  }
+  EXPECT_EQ(canonical.size(), keySet.size());
+
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.compiles, keySet.size()) << "single-flight must still hold";
+  EXPECT_EQ(s.policyHits + s.policyMisses, kCalls);
+  // A thread derives each key at most once; every later call of its own
+  // for that key reads the memo.
+  EXPECT_GE(s.featureKeysReused, kCalls - kThreads * keySet.size());
+}
+
 TEST(ServiceConcurrency, BoundedQueueAppliesBackPressure) {
   ServiceConfig config;
   config.workers = 2;
