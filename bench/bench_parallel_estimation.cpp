@@ -1,10 +1,11 @@
 // Traced-launch throughput of the parallel estimation pipeline.
 //
 // Baseline: the seed's serial path — the tree-walking ReferenceExecutor
-// pushing every event through the virtual TraceSink interface straight
-// into the platform model. Against it: the pre-decoded GroupExecutor with
-// buffered GroupTraces and the two-phase digest/merge driver
-// (perf/traced_driver.h), swept over 1/2/4/8 host threads.
+// pushing every event through the virtual TraceSink interface, recorded
+// into one GroupTrace per group and fed straight into the platform model.
+// Against it: the pre-decoded GroupExecutor with buffered GroupTraces and
+// the two-phase digest/merge driver (perf/traced_driver.h), swept over
+// 1/2/4/8 host threads.
 //
 // Reports groups/second per configuration and the speedup over the seed
 // path, and asserts the estimates stay bit-identical while doing so.
@@ -87,8 +88,15 @@ int main() {
     // Seed serial path: tree-walker + virtual sink pushes.
     const Measurement seed = measure(groups.size(), reps, [&] {
       perf::CpuModel model(platform);
-      rt::ReferenceExecutor exec(image, &model);
-      for (const auto& g : groups) exec.runGroup(g);
+      rt::GroupTraceRecorder recorder;
+      rt::ReferenceExecutor exec(image, &recorder);
+      for (std::size_t dense = 0; dense < groups.size(); ++dense) {
+        recorder.trace.clear();
+        exec.runGroup(groups[dense]);
+        model.mergeGroup(model.digestGroup(
+            model.shardOf(static_cast<std::uint32_t>(dense)),
+            recorder.trace));
+      }
       return model.totalCycles();
     });
 

@@ -5,8 +5,10 @@
 // requests warm through a *fresh* service sharing only the policy disk
 // directory, where each request compiles just the winning variant and
 // skips estimation entirely. Exits non-zero when verdict agreement drops
-// below 30/33 or the warm phase fails to hit the store. Results land in
-// BENCH_policy_auto.json.
+// below 30/33, the warm phase fails to hit the store, or the cold phase
+// does not reuse exactly the 6 estimates its kernels share (the NVD-MM-B
+// and -AB originals print like NVD-MM-A's, on each of the 3 platforms).
+// Results land in BENCH_policy_auto.json.
 #include <unistd.h>
 
 #include <chrono>
@@ -63,6 +65,8 @@ int main() {
 
   // --- cold phase: both variants compiled + estimated, decision stored.
   double coldMs = 0;
+  constexpr std::uint64_t kSharedEstimates = 6;
+  std::uint64_t coldEstimatesReused = 0;
   {
     service::ServiceConfig config;
     config.estimateThreads = 0;  // one request at a time: use all cores
@@ -97,6 +101,14 @@ int main() {
     if (s.policyStores != cases.size()) {
       std::cerr << "FATAL: expected " << cases.size()
                 << " decisions stored, got " << s.policyStores << "\n";
+      return 1;
+    }
+    coldEstimatesReused = s.estimatesReused;
+    std::cout << "cold memo: " << s.proofsReused << " proofs reused, "
+              << s.estimatesReused << " estimates reused\n\n";
+    if (s.estimatesReused != kSharedEstimates) {
+      std::cerr << "FATAL: the cold phase reused " << s.estimatesReused
+                << " estimates, expected " << kSharedEstimates << "\n";
       return 1;
     }
   }
@@ -189,6 +201,7 @@ int main() {
        << "  \"cold_ms\": " << coldMs << ",\n"
        << "  \"warm_ms\": " << warmMs << ",\n"
        << "  \"warm_policy_hits\": " << warmHits << ",\n"
+       << "  \"cold_estimates_reused\": " << coldEstimatesReused << ",\n"
        << "  \"speedup\": " << ratio << "\n"
        << "}\n";
   writeBenchJson("policy_auto", json.str());

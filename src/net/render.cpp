@@ -90,6 +90,8 @@ std::string renderStats(const service::ServiceStats& s,
        << " unknown), " << s.proofVetoes << " vetoes, "
        << fixed(s.proveMs, 1) << " ms\n";
   }
+  os << "memo: " << s.proofsReused << " proofs reused, " << s.estimatesReused
+     << " estimates reused\n";
   return os.str();
 }
 

@@ -27,9 +27,9 @@ struct StatsRenderOptions {
   bool prove = false;    ///< include the "prove:" line (--prove)
 };
 
-/// The multi-line cache/stages(/policy/measure) stats block groverc
-/// prints after a batch; the daemon ships the same text for a Stats
-/// frame. Ends with a newline.
+/// The multi-line cache/stages(/policy/measure/prove)/memo stats block
+/// groverc prints after a batch; the daemon ships the same text for a
+/// Stats frame. Ends with a newline.
 [[nodiscard]] std::string renderStats(const service::ServiceStats& s,
                                       const StatsRenderOptions& options);
 

@@ -13,13 +13,6 @@ constexpr std::uint64_t kLocalBase = 0x0000'0000;
 constexpr std::uint64_t kPrivateBase = 0x0800'0000;   // offset inside window
 }  // namespace
 
-unsigned CpuModel::threadOf(std::uint32_t group) {
-  auto [it, inserted] =
-      dense_group_.try_emplace(group, static_cast<unsigned>(dense_group_.size()));
-  (void)inserted;
-  return it->second % spec_.hwThreads;
-}
-
 std::uint64_t CpuModel::remapAddress(unsigned tid,
                                      const rt::MemAccess& access) const {
   switch (access.space) {
@@ -46,30 +39,6 @@ CpuModel::CpuModel(const PlatformSpec& spec) : spec_(spec) {
     t.caches = std::make_unique<CacheHierarchy>(
         spec_.privateLevels, shared_llc_.get(), spec_.memCycles);
   }
-}
-
-void CpuModel::onAccess(const rt::MemAccess& access) {
-  const unsigned tid = threadOf(access.group);
-  Thread& thread = threads_[tid];
-  const double latency =
-      thread.caches->access(remapAddress(tid, access), access.size);
-  const double exposed = latency * spec_.memOverlap;
-  thread.cycles += exposed;
-  thread.memCycles += exposed;
-}
-
-void CpuModel::onBarrier(std::uint32_t group) {
-  (void)group;  // per-work-item costs are charged via counters.barrier
-}
-
-void CpuModel::onGroupFinish(std::uint32_t group,
-                             const rt::InstCounters& counters) {
-  Thread& thread = threads_[threadOf(group)];
-  thread.cycles += static_cast<double>(counters.total()) * spec_.cpi;
-  thread.cycles +=
-      static_cast<double>(counters.barrier) * spec_.barrierCycles;
-  thread.cycles += spec_.groupOverheadCycles;
-  totals_ += counters;
 }
 
 CpuModel::GroupDigest CpuModel::digestGroup(unsigned shard,

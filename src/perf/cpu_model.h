@@ -6,20 +6,17 @@
 // why staging through local memory is pure overhead on CPUs unless it
 // improves the layout seen by the caches.
 //
-// Two consumption modes over the same simulation state:
-//  - TraceSink (onAccess/onGroupFinish): the serial push interface.
-//  - digestGroup/mergeGroup: the sharded two-phase interface used by the
-//    parallel estimator (perf/traced_driver.h). digestGroup replays a
-//    group's buffered trace against the private L1/L2 of its modeled
-//    hardware thread (shard) — safe to run concurrently across shards —
-//    and records, per access, the best private-level latency plus the
-//    lines that fell through to the shared LLC. mergeGroup then resolves
-//    those lines against the LLC and accumulates cycles, serially in dense
-//    group order, reproducing the serial path bit for bit.
+// The model consumes buffered group traces through the sharded two-phase
+// interface of the trace-driven estimator (perf/traced_driver.h).
+// digestGroup replays a group's trace against the private L1/L2 of its
+// modeled hardware thread (shard) — safe to run concurrently across
+// shards — and records, per access, the best private-level latency plus
+// the lines that fell through to the shared LLC. mergeGroup then resolves
+// those lines against the LLC and accumulates cycles, serially in dense
+// group order, so every thread count gives the same estimate bit for bit.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "perf/cache_sim.h"
@@ -29,14 +26,9 @@
 namespace grover::perf {
 
 /// Consumes an execution trace and accumulates per-thread cycles.
-class CpuModel final : public rt::TraceSink {
+class CpuModel {
  public:
   explicit CpuModel(const PlatformSpec& spec);
-
-  void onAccess(const rt::MemAccess& access) override;
-  void onBarrier(std::uint32_t group) override;
-  void onGroupFinish(std::uint32_t group,
-                     const rt::InstCounters& counters) override;
 
   /// Private-cache replay digest of one work-group (phase A).
   struct GroupDigest {
@@ -53,7 +45,9 @@ class CpuModel final : public rt::TraceSink {
     rt::InstCounters counters;
   };
 
-  /// One shard per modeled hardware thread; groups round-robin over them.
+  /// One shard per modeled hardware thread; groups round-robin over them
+  /// by dense index, so group *sampling* (every Nth group) still spreads
+  /// work over all modeled threads.
   [[nodiscard]] unsigned digestShards() const { return spec_.hwThreads; }
   [[nodiscard]] unsigned shardOf(std::uint32_t denseGroup) const {
     return denseGroup % spec_.hwThreads;
@@ -82,11 +76,6 @@ class CpuModel final : public rt::TraceSink {
     double memCycles = 0;
   };
 
-  /// Groups are densely renumbered in arrival order before round-robin
-  /// thread assignment, so group *sampling* (every Nth group) still spreads
-  /// work over all modeled threads.
-  [[nodiscard]] unsigned threadOf(std::uint32_t group);
-
   /// Local/private windows remap into per-thread flat address ranges.
   [[nodiscard]] std::uint64_t remapAddress(unsigned tid,
                                            const rt::MemAccess& access) const;
@@ -97,7 +86,6 @@ class CpuModel final : public rt::TraceSink {
   std::unique_ptr<CacheLevel> shared_llc_;
   std::vector<Thread> threads_;
   rt::InstCounters totals_;
-  std::unordered_map<std::uint32_t, unsigned> dense_group_;
 };
 
 }  // namespace grover::perf

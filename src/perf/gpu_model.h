@@ -8,20 +8,16 @@
 // staged (local-memory) transpose fast and the direct strided one slow on
 // real GPUs.
 //
-// Two consumption modes over the same accumulators:
-//  - TraceSink (onAccess/onGroupFinish): the serial push interface.
-//  - digestGroup/mergeGroup: the two-phase interface for the parallel
-//    estimator (perf/traced_driver.h). Warp formation, bank-conflict
-//    degrees, and coalesced segment lists depend only on one group's trace,
-//    so digestGroup is stateless (digestShards() == 0) and safe to run
-//    concurrently for any set of groups. Only mergeGroup touches shared
-//    state (the device read cache and the cycle accumulators) and must run
-//    serially in dense group order.
+// The model consumes buffered group traces through the two-phase
+// interface of the trace-driven estimator (perf/traced_driver.h). Warp
+// formation, bank-conflict degrees, and coalesced segment lists depend only
+// on one group's trace, so digestGroup is stateless (digestShards() == 0)
+// and safe to run concurrently for any set of groups. Only mergeGroup
+// touches shared state (the device read cache and the cycle accumulators)
+// and must run serially in dense group order.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "perf/cache_sim.h"
@@ -30,14 +26,9 @@
 
 namespace grover::perf {
 
-class GpuModel final : public rt::TraceSink {
+class GpuModel {
  public:
   explicit GpuModel(const PlatformSpec& spec);
-
-  void onAccess(const rt::MemAccess& access) override;
-  void onBarrier(std::uint32_t group) override;
-  void onGroupFinish(std::uint32_t group,
-                     const rt::InstCounters& counters) override;
 
   /// Group-local digest: everything about one group's memory behaviour
   /// that can be computed without the shared device cache.
@@ -55,6 +46,9 @@ class GpuModel final : public rt::TraceSink {
     (void)denseGroup;
     return 0;
   }
+  /// Buckets the group's accesses by (warp, instSlot, occurrence) — the
+  /// work-items of one warp executing the same dynamic load/store — and
+  /// charges each bucket as one warp instruction.
   [[nodiscard]] GroupDigest digestGroup(unsigned shard,
                                         const rt::GroupTrace& trace) const;
   /// Replay a digest's segments against the device cache and accumulate
@@ -71,34 +65,10 @@ class GpuModel final : public rt::TraceSink {
   [[nodiscard]] const rt::InstCounters& counters() const { return totals_; }
 
  private:
-  struct WarpAccess {
-    std::vector<std::uint64_t> addresses;
-    std::vector<std::uint32_t> sizes;
-    bool isLocal = false;
-    bool isWrite = false;
-  };
-  // One group's pending accesses, keyed by (warp, instSlot, occurrence):
-  // the work-items of one warp executing the same dynamic instruction.
-  using PendingMap =
-      std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-               WarpAccess>;
-
-  void addPending(PendingMap& pending,
-                  std::unordered_map<std::uint64_t, std::uint32_t>& occurrence,
-                  const rt::MemAccess& access) const;
-  /// Shared-state-free part of flushGroup: SPM cycles + segment list.
-  [[nodiscard]] GroupDigest digestPending(const PendingMap& pending) const;
-
   PlatformSpec spec_;
   std::unique_ptr<CacheLevel> cache_;  // device-wide read cache
 
-  // Sink-mode state: the current group's pending accesses and per
-  // (work-item, instSlot) occurrence counters.
-  PendingMap pending_;
-  std::unordered_map<std::uint64_t, std::uint32_t> occurrence_;
-
   double total_cycles_ = 0;
-  double group_mem_cycles_ = 0;
   std::uint64_t transactions_ = 0;
   double spm_cycles_total_ = 0;
   rt::InstCounters totals_;

@@ -125,6 +125,28 @@ struct GroupTrace {
   }
 };
 
+/// The inverse of GroupTrace::replay: rebuilds the GroupTrace of a group
+/// run by an executor that pushes events through a TraceSink (the
+/// reference tree-walker), so its trace can be digested like a buffered
+/// one. Clear `trace` before each group.
+struct GroupTraceRecorder final : TraceSink {
+  GroupTrace trace;
+
+  void onAccess(const MemAccess& access) override {
+    trace.accesses.push_back(access);
+  }
+  void onBarrier(std::uint32_t group) override {
+    (void)group;
+    trace.barriers.push_back(
+        static_cast<std::uint32_t>(trace.accesses.size()));
+  }
+  void onGroupFinish(std::uint32_t group,
+                     const InstCounters& counters) override {
+    trace.group = group;
+    trace.counters = counters;
+  }
+};
+
 /// Base address assigned to global buffer `i` in the flat trace address
 /// space (buffers are padded to disjoint 256 MiB windows).
 [[nodiscard]] inline std::uint64_t bufferBaseAddress(std::uint32_t index) {

@@ -1,7 +1,10 @@
 #include "service/compile_service.h"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <optional>
+#include <variant>
 
 #include "grovercl/compiler.h"
 #include "ir/printer.h"
@@ -47,6 +50,31 @@ sym::ProofStatus worseOf(sym::ProofStatus a, sym::ProofStatus b) {
     return 0;
   };
   return rank(a) >= rank(b) ? a : b;
+}
+
+/// Everything of a fresh launch instance an estimate reads besides the
+/// kernel: the NDRange, the scalar arguments, and each buffer's size and
+/// bytes.
+std::uint64_t instanceFingerprint(const apps::Instance& instance) {
+  Fnv1a h;
+  h.update(std::uint64_t{instance.range.dims});
+  for (unsigned d = 0; d < 3; ++d) {
+    h.update(std::uint64_t{instance.range.global[d]});
+    h.update(std::uint64_t{instance.range.local[d]});
+  }
+  h.update(static_cast<std::uint64_t>(instance.args.size()));
+  for (const rt::KernelArg& arg : instance.args) {
+    h.update(static_cast<std::uint64_t>(arg.value.index()));
+    if (const auto* buffer = std::get_if<rt::Buffer*>(&arg.value)) {
+      h.update(static_cast<std::uint64_t>((*buffer)->size()));
+      h.updateBytes((*buffer)->data(), (*buffer)->size());
+    } else if (const auto* i = std::get_if<std::int64_t>(&arg.value)) {
+      h.update(static_cast<std::uint64_t>(*i));
+    } else {
+      h.update(std::bit_cast<std::uint64_t>(std::get<double>(arg.value)));
+    }
+  }
+  return h.digest();
 }
 
 /// Front-end compile of a policy-routed request into `program`. Returns
@@ -606,7 +634,8 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
       const apps::Instance instance = app.makeInstance(resolved.scale);
       popts = sym::proveOptionsForLaunch(instance.range, instance.args);
     }
-    const auto proveMatching = [&](Program& program) {
+    const auto proveMatching = [&](Program& program,
+                                   const std::string& moduleText) {
       sym::ProofStatus agg = sym::ProofStatus::Unchecked;
       std::string note;
       for (const auto& fn : program.module->functions()) {
@@ -615,30 +644,21 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
             fn->name() != resolved.kernelName) {
           continue;
         }
-        sym::SymbolicReport report = sym::proveRaceFreedom(
-            *fn, haveLaunch ? popts : sym::proveOptionsForKernel(*fn));
-        bump(&Counters::proofsRun);
-        switch (report.status) {
-          case sym::ProofStatus::Proved:
-            bump(&Counters::proofsProved);
-            break;
-          case sym::ProofStatus::Refuted:
-            bump(&Counters::proofsRefuted);
-            break;
-          default:
-            bump(&Counters::proofsUnknown);
-            break;
-        }
+        const Proof proof =
+            haveLaunch ? proveMemoized(*fn, moduleText, popts)
+                       : prove(*fn, sym::proveOptionsForKernel(*fn));
         const sym::ProofStatus before = agg;
-        agg = worseOf(report.status, agg);
+        agg = worseOf(proof.status, agg);
         if (agg != before || note.empty()) {
-          note = fn->name() + ": " + report.summary();
+          note = fn->name() + ": " + proof.summary;
         }
       }
       return std::make_pair(agg, note);
     };
-    const auto [origStatus, origNote] = proveMatching(original);
-    const auto [transStatus, transNote] = proveMatching(transformed);
+    const auto [origStatus, origNote] =
+        proveMatching(original, artifact->originalText);
+    const auto [transStatus, transNote] =
+        proveMatching(transformed, artifact->transformedText);
     artifact->proofOriginal = origStatus;
     artifact->proofTransformed = transStatus;
     artifact->proofNote =
@@ -663,27 +683,100 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
     StageTimer timer(*this, &Counters::estimateNs);
     const apps::Application& app = apps::applicationById(resolved.appId);
     const perf::PlatformSpec spec = *perf::findPlatform(resolved.platform);
-    ir::Function* origKernel = original.kernel(resolved.kernelName);
-    ir::Function* transKernel = transformed.kernel(resolved.kernelName);
-    apps::Instance i1 = app.makeInstance(resolved.scale);
-    const perf::PerfEstimate with =
-        perf::estimate(spec, *origKernel, i1.range, i1.args,
-                       i1.benchSampleStride, config_.estimateThreads);
+    // Every variant runs on a fresh instance, and fresh instances are
+    // equal, so one fingerprint taken before any run keys both variants.
+    std::optional<apps::Instance> fresh = app.makeInstance(resolved.scale);
+    const std::uint64_t instanceKey = instanceFingerprint(*fresh);
+    const std::uint32_t stride = fresh->benchSampleStride;
+    const auto cycles = [&](const std::string& moduleText,
+                            ir::Function& kernel) {
+      Fnv1a h;
+      h.update(std::string_view("groverc-estimate-key-v1"));
+      h.update(std::string_view(moduleText));
+      h.update(std::string_view(resolved.kernelName));
+      h.update(std::string_view(spec.name));
+      h.update(std::uint64_t{stride});
+      h.update(instanceKey);
+      const std::uint64_t key = h.digest();
+      {
+        std::lock_guard lock(mutex_);
+        if (const auto it = estimates_.find(key); it != estimates_.end()) {
+          bump(&Counters::estimatesReused);
+          return it->second;
+        }
+      }
+      if (!fresh) fresh = app.makeInstance(resolved.scale);
+      const double result =
+          perf::estimate(spec, kernel, fresh->range, fresh->args, stride,
+                         config_.estimateThreads)
+              .cycles;
+      fresh.reset();  // the run wrote to its buffers
+      std::lock_guard lock(mutex_);
+      estimates_.try_emplace(key, result);
+      return result;
+    };
+    const double with = cycles(artifact->originalText,
+                               *original.kernel(resolved.kernelName));
     checkCancelled();
-    apps::Instance i2 = app.makeInstance(resolved.scale);
-    const perf::PerfEstimate without =
-        perf::estimate(spec, *transKernel, i2.range, i2.args,
-                       i2.benchSampleStride, config_.estimateThreads);
+    const double without = cycles(artifact->transformedText,
+                                  *transformed.kernel(resolved.kernelName));
     artifact->hasEstimate = true;
-    artifact->cyclesWithLM = with.cycles;
-    artifact->cyclesWithoutLM = without.cycles;
-    artifact->normalized =
-        perf::normalizedPerformance(with.cycles, without.cycles);
+    artifact->cyclesWithLM = with;
+    artifact->cyclesWithoutLM = without;
+    artifact->normalized = perf::normalizedPerformance(with, without);
     artifact->outcome = perf::classify(artifact->normalized);
   }
 
   artifact->ok = true;
   return artifact;
+}
+
+CompileService::Proof CompileService::prove(ir::Function& fn,
+                                            const sym::ProveOptions& opts) {
+  const sym::SymbolicReport report = sym::proveRaceFreedom(fn, opts);
+  bump(&Counters::proofsRun);
+  switch (report.status) {
+    case sym::ProofStatus::Proved:
+      bump(&Counters::proofsProved);
+      break;
+    case sym::ProofStatus::Refuted:
+      bump(&Counters::proofsRefuted);
+      break;
+    default:
+      bump(&Counters::proofsUnknown);
+      break;
+  }
+  return {report.status, report.summary()};
+}
+
+CompileService::Proof CompileService::proveMemoized(
+    ir::Function& fn, const std::string& moduleText,
+    const sym::ProveOptions& opts) {
+  Fnv1a h;
+  h.update(std::string_view("groverc-proof-key-v1"));
+  h.update(std::string_view(moduleText));
+  h.update(std::string_view(fn.name()));
+  for (unsigned d = 0; d < 3; ++d) {
+    h.update(std::uint64_t{opts.localSize[d]});
+    h.update(std::uint64_t{opts.numGroups[d]});
+  }
+  h.update(static_cast<std::uint64_t>(opts.intArgs.size()));
+  for (const auto& [index, value] : opts.intArgs) {
+    h.update(std::uint64_t{index});
+    h.update(static_cast<std::uint64_t>(value));
+  }
+  const std::uint64_t key = h.digest();
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = proofs_.find(key); it != proofs_.end()) {
+      bump(&Counters::proofsReused);
+      return it->second;
+    }
+  }
+  Proof proof = prove(fn, opts);
+  std::lock_guard lock(mutex_);
+  proofs_.try_emplace(key, proof);
+  return proof;
 }
 
 void CompileService::drain() { pool_.waitIdle(); }
@@ -742,6 +835,8 @@ ServiceStats CompileService::stats() const {
   s.proofsRefuted = snap.proofsRefuted;
   s.proofsUnknown = snap.proofsUnknown;
   s.proofVetoes = snap.proofVetoes;
+  s.proofsReused = snap.proofsReused;
+  s.estimatesReused = snap.estimatesReused;
   s.staleRemeasures = snap.staleRemeasures;
   s.policyHits = snap.policyHits;
   s.policyMisses = snap.policyMisses;

@@ -23,6 +23,10 @@
 #include "service/cancel.h"
 #include "support/thread_pool.h"
 
+namespace grover::sym {
+struct ProveOptions;
+}  // namespace grover::sym
+
 namespace grover::service {
 
 struct ServiceConfig {
@@ -105,6 +109,10 @@ struct ServiceStats {
   std::uint64_t proofsRefuted = 0;  // of those, Refuted (witness found)
   std::uint64_t proofsUnknown = 0;  // of those, Unknown (sound fallback)
   std::uint64_t proofVetoes = 0;    // transforms refused: race introduced
+  /// Kernel proofs and variant estimates a cold compile took from the
+  /// service's memos instead of running the prover or the estimator.
+  std::uint64_t proofsReused = 0;
+  std::uint64_t estimatesReused = 0;
   /// Stale contradicted policy entries re-measured past the decay
   /// horizon (ServiceConfig::policyDecayHorizonMs).
   std::uint64_t staleRemeasures = 0;
@@ -242,6 +250,7 @@ class CompileService {
         policyRefreshes = 0, measurementsDropped = 0;
     std::uint64_t proofsRun = 0, proofsProved = 0, proofsRefuted = 0,
         proofsUnknown = 0, proofVetoes = 0, staleRemeasures = 0;
+    std::uint64_t proofsReused = 0, estimatesReused = 0;
     // Cumulative per-stage wall time, nanoseconds.
     std::uint64_t frontendNs = 0, groverNs = 0, validateNs = 0,
         printNs = 0, estimateNs = 0, executeNs = 0, cacheNs = 0,
@@ -283,6 +292,19 @@ class CompileService {
   /// the submit() worker.
   [[nodiscard]] ArtifactPtr compileUncached(const Request& resolved,
                                             const CancelScope* cancel);
+
+  /// The prover's verdict on one kernel: its status and report summary.
+  struct Proof {
+    sym::ProofStatus status = sym::ProofStatus::Unchecked;
+    std::string summary;
+  };
+  /// Run the prover on `fn` and count the run.
+  [[nodiscard]] Proof prove(ir::Function& fn, const sym::ProveOptions& opts);
+  /// prove() through the proof memo, keyed by `moduleText` (the printed
+  /// module holding `fn`), the kernel name and the launch geometry.
+  [[nodiscard]] Proof proveMemoized(ir::Function& fn,
+                                    const std::string& moduleText,
+                                    const sym::ProveOptions& opts);
   /// Deterministic measurement sampling of one eligible compileAuto()
   /// result. Synchronous mode (measureQueueDepth == 0) measures inline
   /// and folds the np before returning; queue mode enqueues the sample
@@ -335,6 +357,29 @@ class CompileService {
     std::uint64_t policyKey = 0;
   };
   std::unordered_map<std::uint64_t, FeatureKey> feature_keys_;
+  /// Pure results of a cold compile, keyed by the printed kernel the
+  /// artifact carries (guarded by mutex_), so a kernel that several
+  /// requests share is proved and estimated once per service:
+  ///  - proofs_: FNV-1a of the printed module, the kernel name and the
+  ///    launch geometry → the prover's verdict. The verdict does not
+  ///    depend on the platform, so six platforms share one entry. Only app
+  ///    requests use it; raw sources prove every time.
+  ///  - estimates_: FNV-1a of the printed module, the kernel name, the
+  ///    platform, the sample stride and the launch instance (NDRange,
+  ///    scalar args, buffer sizes and bytes) → cycles. The NVD-MM-A/B/AB
+  ///    originals print identically and share one entry per platform.
+  /// Both values are deterministic, so a memo hit is bit-identical to a
+  /// run, and estimateThreads stays out of the key because estimates are
+  /// bit-identical for every thread count. They hold no decision or
+  /// artifact: compileUncached still runs for every cache miss, and
+  /// feedback, refreshes, decay and the Refuted guard see no difference.
+  /// No eviction: only app kernels reach them, so at most 11 apps × 2
+  /// variants × 2³ option bits × 2 scales × 6 platforms = 2112 estimates
+  /// and 352 proofs (their key has no platform) can exist. They are per
+  /// service, never process-wide, so one service's results cannot leak
+  /// into another's.
+  std::unordered_map<std::uint64_t, Proof> proofs_;
+  std::unordered_map<std::uint64_t, double> estimates_;
 
   /// Background measurement queue (ServiceConfig::measureQueueDepth):
   /// sampled requests enqueue here and a dedicated low-priority thread

@@ -2,6 +2,8 @@
 // platform-observable behaviors that drive the paper's results.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "grovercl/compiler.h"
 #include "perf/cpu_model.h"
 #include "perf/estimator.h"
@@ -30,40 +32,61 @@ rt::MemAccess localAccess(std::uint64_t addr, std::uint32_t wi,
   return a;
 }
 
+rt::GroupTrace groupTrace(std::uint32_t group,
+                          std::vector<rt::MemAccess> accesses,
+                          const rt::InstCounters& counters = {}) {
+  rt::GroupTrace trace;
+  trace.group = group;
+  trace.accesses = std::move(accesses);
+  trace.counters = counters;
+  return trace;
+}
+
+/// Feed one group through the model the way perf::estimate does; `dense`
+/// is the group's position among the launch's executed groups.
+template <typename Model>
+void runGroup(Model& model, std::uint32_t dense, const rt::GroupTrace& trace) {
+  model.mergeGroup(model.digestGroup(model.shardOf(dense), trace));
+}
+
 TEST(GpuModel, CoalescedWarpIsOneTransaction) {
   GpuModel model(fermi());
+  std::vector<rt::MemAccess> accesses;
   for (std::uint32_t wi = 0; wi < 32; ++wi) {
-    model.onAccess(globalAccess(0x1000 + wi * 4, wi, /*slot=*/7));
+    accesses.push_back(globalAccess(0x1000 + wi * 4, wi, /*slot=*/7));
   }
-  model.onGroupFinish(0, rt::InstCounters{});
+  runGroup(model, 0, groupTrace(0, accesses));
   EXPECT_EQ(model.globalTransactions(), 1u);
 }
 
 TEST(GpuModel, StridedWarpSplitsIntoManyTransactions) {
   GpuModel model(fermi());
+  std::vector<rt::MemAccess> accesses;
   for (std::uint32_t wi = 0; wi < 32; ++wi) {
-    model.onAccess(globalAccess(0x1000 + wi * 4096, wi, 7));
+    accesses.push_back(globalAccess(0x1000 + wi * 4096, wi, 7));
   }
-  model.onGroupFinish(0, rt::InstCounters{});
+  runGroup(model, 0, groupTrace(0, accesses));
   EXPECT_EQ(model.globalTransactions(), 32u);
 }
 
 TEST(GpuModel, BroadcastIsOneTransaction) {
   GpuModel model(fermi());
+  std::vector<rt::MemAccess> accesses;
   for (std::uint32_t wi = 0; wi < 32; ++wi) {
-    model.onAccess(globalAccess(0x1000, wi, 7));  // same address
+    accesses.push_back(globalAccess(0x1000, wi, 7));  // same address
   }
-  model.onGroupFinish(0, rt::InstCounters{});
+  runGroup(model, 0, groupTrace(0, accesses));
   EXPECT_EQ(model.globalTransactions(), 1u);
 }
 
 TEST(GpuModel, SeparateWarpsDoNotCoalesceTogether) {
   GpuModel model(fermi());
   // 64 work-items = 2 warps; consecutive addresses within each warp.
+  std::vector<rt::MemAccess> accesses;
   for (std::uint32_t wi = 0; wi < 64; ++wi) {
-    model.onAccess(globalAccess(0x1000 + wi * 4, wi, 7));
+    accesses.push_back(globalAccess(0x1000 + wi * 4, wi, 7));
   }
-  model.onGroupFinish(0, rt::InstCounters{});
+  runGroup(model, 0, groupTrace(0, accesses));
   EXPECT_EQ(model.globalTransactions(), 2u);
 }
 
@@ -71,9 +94,9 @@ TEST(GpuModel, DistinctOccurrencesAreDistinctInstructions) {
   GpuModel model(fermi());
   // One work-item executes the same load twice (a loop): the two
   // executions must not coalesce with each other.
-  model.onAccess(globalAccess(0x1000, 0, 7));
-  model.onAccess(globalAccess(0x2000, 0, 7));
-  model.onGroupFinish(0, rt::InstCounters{});
+  runGroup(model, 0,
+           groupTrace(0, {globalAccess(0x1000, 0, 7),
+                          globalAccess(0x2000, 0, 7)}));
   EXPECT_EQ(model.globalTransactions(), 2u);
 }
 
@@ -81,17 +104,19 @@ TEST(GpuModel, SpmConflictFreeVsConflicted) {
   const PlatformSpec spec = fermi();
   GpuModel conflictFree(spec);
   // 32 lanes hitting 32 different banks (stride 4B).
+  std::vector<rt::MemAccess> spread;
   for (std::uint32_t wi = 0; wi < 32; ++wi) {
-    conflictFree.onAccess(localAccess(wi * 4, wi, 9));
+    spread.push_back(localAccess(wi * 4, wi, 9));
   }
-  conflictFree.onGroupFinish(0, rt::InstCounters{});
+  runGroup(conflictFree, 0, groupTrace(0, spread));
 
   GpuModel conflicted(spec);
   // 32 lanes striding 128B: every word maps to bank 0 → 32-way conflict.
+  std::vector<rt::MemAccess> strided;
   for (std::uint32_t wi = 0; wi < 32; ++wi) {
-    conflicted.onAccess(localAccess(wi * 128, wi, 9));
+    strided.push_back(localAccess(wi * 128, wi, 9));
   }
-  conflicted.onGroupFinish(0, rt::InstCounters{});
+  runGroup(conflicted, 0, groupTrace(0, strided));
 
   EXPECT_GT(conflicted.spmCyclesTotal(),
             conflictFree.spmCyclesTotal() * 16);
@@ -99,10 +124,11 @@ TEST(GpuModel, SpmConflictFreeVsConflicted) {
 
 TEST(GpuModel, Wavefront64CoalescesWider) {
   GpuModel model(tahiti());  // 64-lane wavefronts
+  std::vector<rt::MemAccess> accesses;
   for (std::uint32_t wi = 0; wi < 64; ++wi) {
-    model.onAccess(globalAccess(0x1000 + wi * 4, wi, 7));
+    accesses.push_back(globalAccess(0x1000 + wi * 4, wi, 7));
   }
-  model.onGroupFinish(0, rt::InstCounters{});
+  runGroup(model, 0, groupTrace(0, accesses));
   EXPECT_EQ(model.globalTransactions(), 2u);  // 256B over 128B segments
 }
 
@@ -112,14 +138,14 @@ TEST(CpuModel, LocalArenaIsReusedPerThread) {
   PlatformSpec spec = snb();
   spec.hwThreads = 1;
   CpuModel model(spec);
-  for (int group = 0; group < 2; ++group) {
+  for (std::uint32_t group = 0; group < 2; ++group) {
+    std::vector<rt::MemAccess> accesses;
     for (std::uint32_t wi = 0; wi < 16; ++wi) {
       rt::MemAccess a = localAccess(wi * 4, wi, 3);
-      a.group = static_cast<std::uint32_t>(group);
-      model.onAccess(a);
+      a.group = group;
+      accesses.push_back(a);
     }
-    model.onGroupFinish(static_cast<std::uint32_t>(group),
-                        rt::InstCounters{});
+    runGroup(model, group, groupTrace(group, accesses));
   }
   EXPECT_GT(model.l1HitRate(), 0.9);  // only the first line misses
 }
@@ -131,9 +157,9 @@ TEST(CpuModel, BusiestThreadBoundsTotal) {
   rt::InstCounters heavy;
   heavy.intAlu = 1000;
   // Three groups round-robin onto 2 threads: thread 0 gets two groups.
-  model.onGroupFinish(0, heavy);
-  model.onGroupFinish(1, heavy);
-  model.onGroupFinish(2, heavy);
+  runGroup(model, 0, groupTrace(0, {}, heavy));
+  runGroup(model, 1, groupTrace(1, {}, heavy));
+  runGroup(model, 2, groupTrace(2, {}, heavy));
   const double total = model.totalCycles();
   const double perGroup = 1000 * spec.cpi + spec.groupOverheadCycles;
   EXPECT_DOUBLE_EQ(total, 2 * perGroup);
@@ -144,7 +170,7 @@ TEST(CpuModel, BarrierCostCharged) {
   CpuModel model(spec);
   rt::InstCounters counters;
   counters.barrier = 10;
-  model.onGroupFinish(0, counters);
+  runGroup(model, 0, groupTrace(0, {}, counters));
   EXPECT_GE(model.totalCycles(), 10 * spec.barrierCycles);
 }
 

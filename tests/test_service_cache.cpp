@@ -1,13 +1,15 @@
 // Cache semantics of the compilation service: LRU byte budget, negative
 // caching of compile failures, the on-disk tier (hit, corruption
-// fallback), and bit-identity of cached estimates with the uncached
-// Harness path.
+// fallback), bit-identity of cached estimates with the uncached Harness
+// path, and the proof and estimate memos of cold compiles.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "grovercl/harness.h"
 #include "service/compile_service.h"
@@ -226,6 +228,99 @@ TEST(ServiceEstimates, BitIdenticalToUncachedHarness) {
   // A warm hit serves the very same artifact object.
   const ArtifactPtr warm = service.run(req);
   EXPECT_EQ(warm.get(), served.get());
+}
+
+/// Every artifact field a memo could change, compared exactly.
+void expectSameArtifact(const Artifact& a, const Artifact& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.originalText, b.originalText) << what;
+  EXPECT_EQ(a.transformedText, b.transformedText) << what;
+  EXPECT_EQ(a.hasEstimate, b.hasEstimate) << what;
+  EXPECT_EQ(a.cyclesWithLM, b.cyclesWithLM) << what;
+  EXPECT_EQ(a.cyclesWithoutLM, b.cyclesWithoutLM) << what;
+  EXPECT_EQ(a.normalized, b.normalized) << what;
+  EXPECT_EQ(a.outcome, b.outcome) << what;
+  EXPECT_EQ(a.proofOriginal, b.proofOriginal) << what;
+  EXPECT_EQ(a.proofTransformed, b.proofTransformed) << what;
+  EXPECT_EQ(a.proofNote, b.proofNote) << what;
+  EXPECT_EQ(a.proofVetoed, b.proofVetoed) << what;
+}
+
+Request estimateRequest(const std::string& app, const std::string& platform,
+                        bool prove = false) {
+  Request req;
+  req.appId = app;
+  req.platform = platform;
+  req.scale = apps::Scale::Test;
+  req.options.prove = prove;
+  return req;
+}
+
+TEST(ServiceMemo, SharedOriginalIsEstimatedOnce) {
+  // The NVD-MM-A/B/AB originals print identically: one service estimates
+  // that kernel once, and the other two requests reuse its cycles.
+  const std::vector<std::string> apps = {"NVD-MM-A", "NVD-MM-B", "NVD-MM-AB"};
+  CompileService service(ServiceConfig{});
+  std::vector<ArtifactPtr> served;
+  for (const std::string& app : apps) {
+    served.push_back(service.run(estimateRequest(app, "SNB")));
+    ASSERT_TRUE(served.back()->ok) << app;
+    ASSERT_TRUE(served.back()->hasEstimate) << app;
+  }
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.compiles, 3u);
+  EXPECT_EQ(s.estimatesReused, 2u);
+  EXPECT_EQ(served[1]->cyclesWithLM, served[0]->cyclesWithLM);
+  EXPECT_EQ(served[2]->cyclesWithLM, served[0]->cyclesWithLM);
+
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    CompileService fresh(ServiceConfig{});
+    const ArtifactPtr alone = fresh.run(estimateRequest(apps[i], "SNB"));
+    EXPECT_EQ(fresh.stats().estimatesReused, 0u) << apps[i];
+    expectSameArtifact(*served[i], *alone, apps[i]);
+  }
+}
+
+TEST(ServiceMemo, ProofsArePlatformIndependent) {
+  CompileService service(ServiceConfig{});
+  const ArtifactPtr snb = service.run(estimateRequest("NVD-MT", "SNB", true));
+  ASSERT_TRUE(snb->ok);
+  const ServiceStats before = service.stats();
+  EXPECT_EQ(before.proofsRun, 2u);
+  EXPECT_EQ(before.proofsReused, 0u);
+
+  const ArtifactPtr fermi =
+      service.run(estimateRequest("NVD-MT", "Fermi", true));
+  ASSERT_TRUE(fermi->ok);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.compiles, 2u);
+  EXPECT_EQ(after.proofsReused - before.proofsReused, 2u);
+  EXPECT_EQ(after.proofsRun, before.proofsRun);
+  EXPECT_EQ(after.proofsProved + after.proofsRefuted + after.proofsUnknown,
+            after.proofsRun);
+  EXPECT_EQ(fermi->proofOriginal, snb->proofOriginal);
+  EXPECT_EQ(fermi->proofTransformed, snb->proofTransformed);
+  EXPECT_EQ(fermi->proofNote, snb->proofNote);
+  EXPECT_EQ(fermi->proofVetoed, snb->proofVetoed);
+  EXPECT_NE(fermi->cyclesWithLM, snb->cyclesWithLM);  // estimated anew
+}
+
+TEST(ServiceMemo, RawSourceProofsAreNotMemoized) {
+  // Two cache keys whose original modules print identically: a raw
+  // source proves under a per-kernel geometry, and it proves every time.
+  CompileService service(ServiceConfig{});
+  for (const bool removeBarriers : {true, false}) {
+    Request req;
+    req.source = apps::applicationById("NVD-MT").source();
+    req.options.prove = true;
+    req.options.removeBarriers = removeBarriers;
+    ASSERT_TRUE(service.run(req)->ok);
+  }
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.compiles, 2u);
+  EXPECT_EQ(s.proofsReused, 0u);
+  EXPECT_EQ(s.proofsRun, 4u);
 }
 
 }  // namespace

@@ -159,6 +159,72 @@ TEST(ServiceConcurrency, ConcurrentAutoRequestsAgreeOnFeatureKeys) {
   EXPECT_GE(s.featureKeysReused, kCalls - kThreads * keySet.size());
 }
 
+TEST(ServiceConcurrency, ConcurrentColdRequestsShareMemos) {
+  // Racing cold compiles of kernels that share proofs (every platform)
+  // and an estimate (the NVD-MM-A/B/AB originals): whichever request
+  // fills a memo entry first, every artifact must equal a sequential run.
+  const std::vector<std::string> appIds = {"NVD-MM-A", "NVD-MM-B",
+                                           "NVD-MM-AB"};
+  const std::vector<std::string> platforms = {"SNB", "Fermi"};
+  std::vector<Request> keys;
+  for (const std::string& id : appIds) {
+    for (const std::string& platform : platforms) {
+      Request r = appRequest(id);
+      r.platform = platform;
+      r.scale = apps::Scale::Test;
+      r.options.prove = true;
+      keys.push_back(r);
+    }
+  }
+  std::vector<ArtifactPtr> sequential;
+  {
+    CompileService service(ServiceConfig{});
+    for (const Request& r : keys) sequential.push_back(service.run(r));
+  }
+
+  constexpr unsigned kThreads = 8;
+  ServiceConfig config;
+  config.workers = 4;
+  CompileService service(config);
+  std::vector<std::vector<ArtifactPtr>> seen(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        seen[t].push_back(service.run(keys[(t + i) % keys.size()]));
+      }
+    });
+  }
+  go = true;
+  for (std::thread& th : threads) th.join();
+
+  for (unsigned t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::size_t k = (t + i) % keys.size();
+      const Artifact& a = *seen[t][i];
+      const Artifact& want = *sequential[k];
+      const std::string what = keys[k].appId + " on " + keys[k].platform;
+      ASSERT_TRUE(a.ok) << what;
+      EXPECT_EQ(a.originalText, want.originalText) << what;
+      EXPECT_EQ(a.transformedText, want.transformedText) << what;
+      EXPECT_EQ(a.cyclesWithLM, want.cyclesWithLM) << what;
+      EXPECT_EQ(a.cyclesWithoutLM, want.cyclesWithoutLM) << what;
+      EXPECT_EQ(a.outcome, want.outcome) << what;
+      EXPECT_EQ(a.proofOriginal, want.proofOriginal) << what;
+      EXPECT_EQ(a.proofTransformed, want.proofTransformed) << what;
+      EXPECT_EQ(a.proofNote, want.proofNote) << what;
+      EXPECT_EQ(a.proofVetoed, want.proofVetoed) << what;
+    }
+  }
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.compiles, keys.size()) << "single-flight must still hold";
+  EXPECT_EQ(s.proofsRun + s.proofsReused, 2 * keys.size());
+  EXPECT_EQ(s.proofsProved + s.proofsRefuted + s.proofsUnknown, s.proofsRun);
+}
+
 TEST(ServiceConcurrency, BoundedQueueAppliesBackPressure) {
   ServiceConfig config;
   config.workers = 2;
