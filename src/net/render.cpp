@@ -76,7 +76,8 @@ std::string renderStats(const service::ServiceStats& s,
        << " misses, " << s.policyStores << " decisions stored, "
        << s.policyFlips << " flips, " << s.policyMismatches
        << " mismatches, " << s.featureKeysReused
-       << " feature keys reused\n";
+       << " feature keys reused, " << s.policyDiskLoadFailures
+       << " corrupt decisions dropped\n";
     if (options.measure) {
       os << "measure: " << s.measurements << " measured ("
          << s.nativeMeasurements << " native), " << s.policyRefreshes

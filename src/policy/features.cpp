@@ -1,7 +1,9 @@
 #include "policy/features.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <type_traits>
 
 #include "grover/candidates.h"
 #include "grover/expr_tree.h"
@@ -10,6 +12,7 @@
 #include "ir/casting.h"
 #include "ir/instruction.h"
 #include "support/hash.h"
+#include "support/record_file.h"
 #include "support/str.h"
 
 namespace grover::policy {
@@ -84,6 +87,39 @@ unsigned patternClass(ir::Value* index) {
 /// traffic uncoalesced.
 void mergeStride(StrideShape& into, StrideShape observed) {
   into = std::max(into, observed);
+}
+
+/// Every field of a feature vector, in featureKey() order: the one list
+/// the key and the record codec share. `visit(name, field)` sees each
+/// field by reference.
+template <typename Features, typename Visit>
+void forEachField(Features& f, Visit&& visit) {
+  visit("localBytes", f.localBytes);
+  visit("numLocalBuffers", f.numLocalBuffers);
+  visit("numReversibleBuffers", f.numReversibleBuffers);
+  visit("numTemporalBuffers", f.numTemporalBuffers);
+  visit("numBarriers", f.numBarriers);
+  visit("numStagingPairs", f.numStagingPairs);
+  visit("localLoads", f.localLoads);
+  visit("localStores", f.localStores);
+  visit("reuseMilli", f.reuseMilli);
+  visit("glPatternClass", f.glPatternClass);
+  visit("lsPatternClass", f.lsPatternClass);
+  visit("llPatternClass", f.llPatternClass);
+  visit("glStride", f.glStride);
+  visit("llStride", f.llStride);
+  visit("totalInsts", f.totalInsts);
+  visit("globalLoads", f.globalLoads);
+  visit("globalStores", f.globalStores);
+  visit("arithOps", f.arithOps);
+  visit("branches", f.branches);
+  visit("phis", f.phis);
+  constexpr std::string_view kLocal[] = {"localSizeX", "localSizeY",
+                                         "localSizeZ"};
+  constexpr std::string_view kGlobal[] = {"globalSizeX", "globalSizeY",
+                                          "globalSizeZ"};
+  for (std::size_t d = 0; d < 3; ++d) visit(kLocal[d], f.localSize[d]);
+  for (std::size_t d = 0; d < 3; ++d) visit(kGlobal[d], f.globalSize[d]);
 }
 
 }  // namespace
@@ -167,31 +203,35 @@ std::uint64_t featureKey(const KernelFeatures& f,
                          std::uint64_t scaleTag) {
   Fnv1a h;
   h.update(std::string_view("grover-policy-key-v1"));
-  h.update(f.localBytes);
-  h.update(std::uint64_t{f.numLocalBuffers});
-  h.update(std::uint64_t{f.numReversibleBuffers});
-  h.update(std::uint64_t{f.numTemporalBuffers});
-  h.update(std::uint64_t{f.numBarriers});
-  h.update(std::uint64_t{f.numStagingPairs});
-  h.update(std::uint64_t{f.localLoads});
-  h.update(std::uint64_t{f.localStores});
-  h.update(f.reuseMilli);
-  h.update(std::uint64_t{f.glPatternClass});
-  h.update(std::uint64_t{f.lsPatternClass});
-  h.update(std::uint64_t{f.llPatternClass});
-  h.update(static_cast<std::uint64_t>(f.glStride));
-  h.update(static_cast<std::uint64_t>(f.llStride));
-  h.update(std::uint64_t{f.totalInsts});
-  h.update(std::uint64_t{f.globalLoads});
-  h.update(std::uint64_t{f.globalStores});
-  h.update(std::uint64_t{f.arithOps});
-  h.update(std::uint64_t{f.branches});
-  h.update(std::uint64_t{f.phis});
-  for (std::uint32_t v : f.localSize) h.update(std::uint64_t{v});
-  for (std::uint32_t v : f.globalSize) h.update(std::uint64_t{v});
+  forEachField(f, [&](std::string_view, auto v) {
+    h.update(static_cast<std::uint64_t>(v));
+  });
   h.update(std::string_view(platform));
   h.update(scaleTag);
   return h.digest();
+}
+
+void writeFeatures(RecordWriter& w, const KernelFeatures& f) {
+  forEachField(f, [&](std::string_view name, auto v) {
+    w.num(name, static_cast<std::int64_t>(v));
+  });
+}
+
+KernelFeatures readFeatures(RecordReader& r) {
+  KernelFeatures f;
+  forEachField(f, [&](std::string_view name, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    std::int64_t hi = 0;
+    if constexpr (std::is_enum_v<T>) {
+      hi = static_cast<std::int64_t>(StrideShape::Scaled);
+    } else {
+      hi = static_cast<std::int64_t>(std::min<std::uint64_t>(
+          std::numeric_limits<T>::max(),
+          std::numeric_limits<std::int64_t>::max()));
+    }
+    field = static_cast<T>(r.num(name, 0, hi));
+  });
+  return f;
 }
 
 std::string KernelFeatures::str() const {

@@ -15,6 +15,11 @@
 #include "ir/function.h"
 #include "rt/ndrange.h"
 
+namespace grover {
+class RecordReader;
+class RecordWriter;
+}  // namespace grover
+
 namespace grover::policy {
 
 /// How the innermost local id (lx = get_local_id(0)) enters the flat
@@ -84,5 +89,12 @@ struct KernelFeatures {
 [[nodiscard]] std::uint64_t featureKey(const KernelFeatures& f,
                                        const std::string& platform,
                                        std::uint64_t scaleTag);
+
+/// The feature vector as record fields (support/record_file.h), one per
+/// field, in featureKey() order.
+void writeFeatures(RecordWriter& w, const KernelFeatures& f);
+/// Reads what writeFeatures() wrote. Throws GroverError on a missing or
+/// out-of-range field.
+[[nodiscard]] KernelFeatures readFeatures(RecordReader& r);
 
 }  // namespace grover::policy

@@ -1,113 +1,26 @@
 #include "policy/policy_store.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <sstream>
-#include <thread>
+#include <limits>
 
-#include "support/diagnostics.h"
-#include "support/hash.h"
+#include "support/record_file.h"
 
 namespace grover::policy {
 namespace {
 
 // ---- on-disk decision format ---------------------------------------------
 //
-// Same conventions as the artifact cache (service/artifact_cache.cpp):
-//   groverpol 2
-//   key <hex16>
-//   i <name> <integer>
-//   b <name> <u64 bit pattern>      (doubles, bit-exact)
-//   s <name> <len>\n<len raw bytes>\n
-//   end
-// Any deviation throws → the caller deletes the file and reports a miss.
-// Version 2 added the proof status and store timestamp; v1 files fail the
-// header check and are dropped like any other corrupt entry — decisions
-// are re-derivable, so a one-time cold restart beats a migration path.
+// One `groverpol 3` record (support/record_file.h) per key. Version 2
+// added the proof status and store timestamp, version 3 the checksum
+// trailer. Older files fail the header check and are dropped like any
+// other corrupt entry: decisions are re-derivable, so a one-time cold
+// restart beats a migration path.
 
-class Writer {
- public:
-  void num(const char* name, std::int64_t v) {
-    os_ << "i " << name << " " << v << "\n";
-  }
-  void bits(const char* name, double v) {
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    os_ << "b " << name << " " << u << "\n";
-  }
-  void str(const char* name, const std::string& s) {
-    os_ << "s " << name << " " << s.size() << "\n" << s << "\n";
-  }
-  std::ostringstream os_;
-};
+constexpr const char* kFormat = "groverpol 3";
 
-class Reader {
- public:
-  explicit Reader(std::string text) : text_(std::move(text)) {}
-
-  std::string line() {
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string::npos) throw GroverError("policy: truncated");
-    std::string out = text_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return out;
-  }
-  void expectLine(const std::string& want) {
-    if (line() != want) throw GroverError("policy: bad header");
-  }
-  std::int64_t num(const char* name) {
-    const std::string l = line();
-    std::int64_t v = 0;
-    if (std::sscanf(l.c_str(), ("i " + std::string(name) + " %lld").c_str(),
-                    reinterpret_cast<long long*>(&v)) != 1) {
-      throw GroverError("policy: expected int field " + std::string(name));
-    }
-    return v;
-  }
-  double bits(const char* name) {
-    const std::string l = line();
-    unsigned long long u = 0;
-    if (std::sscanf(l.c_str(), ("b " + std::string(name) + " %llu").c_str(),
-                    &u) != 1) {
-      throw GroverError("policy: expected bits field " + std::string(name));
-    }
-    double v = 0;
-    const std::uint64_t u64 = u;
-    std::memcpy(&v, &u64, sizeof(v));
-    return v;
-  }
-  std::string str(const char* name) {
-    const std::string l = line();
-    unsigned long long len = 0;
-    if (std::sscanf(l.c_str(), ("s " + std::string(name) + " %llu").c_str(),
-                    &len) != 1) {
-      throw GroverError("policy: expected string field " +
-                        std::string(name));
-    }
-    if (pos_ + len + 1 > text_.size() || text_[pos_ + len] != '\n') {
-      throw GroverError("policy: bad string length for " +
-                        std::string(name));
-    }
-    std::string out = text_.substr(pos_, len);
-    pos_ += len + 1;
-    return out;
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-std::string serialize(std::uint64_t key, const Decision& d) {
-  Writer w;
-  w.os_ << "groverpol 2\n" << "key " << toHex64(key) << "\n";
+void writeDecision(RecordWriter& w, const Decision& d) {
   w.num("variant", static_cast<std::int64_t>(d.variant));
   w.num("outcome", static_cast<std::int64_t>(d.predictedOutcome));
   w.bits("predictedNp", d.predictedNp);
@@ -115,48 +28,26 @@ std::string serialize(std::uint64_t key, const Decision& d) {
   w.str("source", d.source);
   w.bits("ewmaNp", d.ewmaNp);
   w.num("observations", static_cast<std::int64_t>(d.observations));
-  w.num("mismatch", d.mismatch ? 1 : 0);
+  w.num("mismatch", d.mismatch);
   w.num("proof", static_cast<std::int64_t>(d.proof));
   w.num("storedAtMs", static_cast<std::int64_t>(d.storedAtMs));
-  w.os_ << "end\n";
-  return w.os_.str();
 }
 
-Decision deserialize(std::uint64_t key, std::string text) {
-  Reader r(std::move(text));
-  r.expectLine("groverpol 2");
-  r.expectLine("key " + toHex64(key));
-  Decision d;
-  const std::int64_t variant = r.num("variant");
-  if (variant < 0 ||
-      variant > static_cast<std::int64_t>(Variant::Transformed)) {
-    throw GroverError("policy: bad variant");
-  }
-  d.variant = static_cast<Variant>(variant);
-  const std::int64_t outcome = r.num("outcome");
-  if (outcome < 0 ||
-      outcome > static_cast<std::int64_t>(perf::Outcome::Similar)) {
-    throw GroverError("policy: bad outcome");
-  }
-  d.predictedOutcome = static_cast<perf::Outcome>(outcome);
+void readDecision(RecordReader& r, Decision& d) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  d.variant = static_cast<Variant>(
+      r.num("variant", 0, static_cast<std::int64_t>(Variant::Transformed)));
+  d.predictedOutcome = static_cast<perf::Outcome>(r.num(
+      "outcome", 0, static_cast<std::int64_t>(perf::Outcome::Similar)));
   d.predictedNp = r.bits("predictedNp");
   d.confidence = r.bits("confidence");
   d.source = r.str("source");
   d.ewmaNp = r.bits("ewmaNp");
-  const std::int64_t observations = r.num("observations");
-  if (observations < 0) throw GroverError("policy: bad observation count");
-  d.observations = static_cast<std::uint64_t>(observations);
-  d.mismatch = r.num("mismatch") != 0;
-  const std::int64_t proof = r.num("proof");
-  if (proof < 0 || proof > static_cast<std::int64_t>(sym::ProofStatus::Unknown)) {
-    throw GroverError("policy: bad proof status");
-  }
-  d.proof = static_cast<sym::ProofStatus>(proof);
-  const std::int64_t storedAtMs = r.num("storedAtMs");
-  if (storedAtMs < 0) throw GroverError("policy: bad store timestamp");
-  d.storedAtMs = static_cast<std::uint64_t>(storedAtMs);
-  r.expectLine("end");
-  return d;
+  d.observations = static_cast<std::uint64_t>(r.num("observations", 0, kMax));
+  d.mismatch = r.flag("mismatch");
+  d.proof = static_cast<sym::ProofStatus>(
+      r.num("proof", 0, static_cast<std::int64_t>(sym::ProofStatus::Unknown)));
+  d.storedAtMs = static_cast<std::uint64_t>(r.num("storedAtMs", 0, kMax));
 }
 
 }  // namespace
@@ -192,16 +83,14 @@ bool shouldRemeasure(const Decision& d, std::uint64_t nowMs,
   return nowMs >= d.storedAtMs + horizonMs;
 }
 
-PolicyStore::PolicyStore(Config config) : config_(std::move(config)) {
+PolicyStore::PolicyStore(Config config)
+    : config_(std::move(config)),
+      disk_(config_.diskDir, ".grvpol", kFormat, "policy") {
   const unsigned n = std::max(1u, config_.shards);
   shardBudget_ = std::max<std::size_t>(1, config_.maxEntries / n);
   shards_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-  if (!config_.diskDir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.diskDir, ec);
   }
 }
 
@@ -220,8 +109,11 @@ std::optional<Decision> PolicyStore::lookup(std::uint64_t key) {
     }
     ++shard.misses;
   }
-  std::optional<Decision> fromDisk = loadFromDisk(key);
-  if (fromDisk.has_value()) putMemory(key, *fromDisk);
+  Decision fromDisk;
+  if (!disk_.load(key, [&](RecordReader& r) { readDecision(r, fromDisk); })) {
+    return std::nullopt;
+  }
+  putMemory(key, fromDisk);
   return fromDisk;
 }
 
@@ -236,7 +128,7 @@ void PolicyStore::store(std::uint64_t key, const Decision& decision) {
             .count());
   }
   putMemory(key, stamped);
-  storeToDisk(key, stamped);
+  disk_.store(key, [&](RecordWriter& w) { writeDecision(w, stamped); });
 }
 
 void PolicyStore::putMemory(std::uint64_t key, const Decision& decision) {
@@ -256,77 +148,7 @@ void PolicyStore::putMemory(std::uint64_t key, const Decision& decision) {
 }
 
 std::string PolicyStore::diskPath(std::uint64_t key) const {
-  if (config_.diskDir.empty()) return {};
-  return config_.diskDir + "/" + toHex64(key) + ".grvpol";
-}
-
-std::optional<Decision> PolicyStore::loadFromDisk(std::uint64_t key) {
-  const std::string path = diskPath(key);
-  if (path.empty()) return std::nullopt;
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return std::nullopt;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-      std::lock_guard lock(disk_mutex_);
-      ++disk_failures_;
-      return std::nullopt;
-    }
-    text = buf.str();
-  }
-  try {
-    Decision d = deserialize(key, std::move(text));
-    std::lock_guard lock(disk_mutex_);
-    ++disk_hits_;
-    return d;
-  } catch (const std::exception&) {
-    // Corrupt entry: drop it so a fresh decision can replace it.
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::lock_guard lock(disk_mutex_);
-    ++disk_failures_;
-    return std::nullopt;
-  }
-}
-
-void PolicyStore::storeToDisk(std::uint64_t key, const Decision& decision) {
-  const std::string path = diskPath(key);
-  if (path.empty()) return;
-  const std::string payload = serialize(key, decision);
-  // Unique temp name per write (feedback rewrites the same key from
-  // several threads, and processes may share a policy directory), then
-  // atomic rename: readers never see a torn file and a crash mid-write
-  // leaves only a stale .tmp, never a truncated decision.
-  static std::atomic<std::uint64_t> tmpCounter{0};
-  Fnv1a tmpTag;
-  tmpTag.update(static_cast<std::uint64_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id())));
-  tmpTag.update(static_cast<std::uint64_t>(
-      reinterpret_cast<std::uintptr_t>(&tmpCounter)));  // per-process (ASLR)
-  tmpTag.update(tmpCounter.fetch_add(1));
-  const std::string tmp = path + ".tmp" + toHex64(tmpTag.digest());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out << payload;
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return;
-  }
-  std::lock_guard lock(disk_mutex_);
-  ++disk_stores_;
+  return disk_.path(key);
 }
 
 PolicyStore::Stats PolicyStore::stats() const {
@@ -338,10 +160,10 @@ PolicyStore::Stats PolicyStore::stats() const {
     s.evictions += shard->evictions;
     s.entries += shard->lru.size();
   }
-  std::lock_guard lock(disk_mutex_);
-  s.diskHits = disk_hits_;
-  s.diskLoadFailures = disk_failures_;
-  s.diskStores = disk_stores_;
+  const RecordDir::Stats d = disk_.stats();
+  s.diskHits = d.hits;
+  s.diskLoadFailures = d.loadFailures;
+  s.diskStores = d.stores;
   return s;
 }
 

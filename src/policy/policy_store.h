@@ -2,10 +2,11 @@
 // feature key — support::hash over (feature vector, platform, scale) —
 // to the transform decision learned for that kernel shape. Sharded
 // in-memory LRU (decisions are tiny, so the budget is entry-count based)
-// plus an optional on-disk tier following the service::ArtifactCache
-// conventions: line-oriented text format, doubles stored as bit
-// patterns, temp-file + atomic rename on write, corrupt entries deleted
-// and treated as misses.
+// plus an optional on-disk tier of checksummed `groverpol 3` records in
+// the record format the artifact cache also uses (support/record_file.h):
+// doubles stored as bit patterns, temp-file + atomic rename on write, and
+// any record whose checksum or fields fail is deleted and treated as a
+// miss.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "perf/estimator.h"
+#include "support/record_file.h"
 #include "sym/report.h"
 
 namespace grover::policy {
@@ -132,15 +134,11 @@ class PolicyStore {
 
   Shard& shardFor(std::uint64_t key);
   void putMemory(std::uint64_t key, const Decision& decision);
-  [[nodiscard]] std::optional<Decision> loadFromDisk(std::uint64_t key);
-  void storeToDisk(std::uint64_t key, const Decision& decision);
 
   Config config_;
   std::size_t shardBudget_ = 0;  // entries per shard
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex disk_mutex_;
-  std::uint64_t disk_hits_ = 0, disk_failures_ = 0, disk_stores_ = 0;
+  RecordDir disk_;
 };
 
 }  // namespace grover::policy

@@ -4,8 +4,8 @@
 // (appId) or raw OpenCL C source, plus the Grover options and an optional
 // platform model for the with/without-local-memory estimate. An Artifact
 // is the cacheable, immutable result: printed IR before/after Grover, the
-// Table III-style report, the estimate, or — for sources that do not
-// compile — the diagnostics (a negative entry).
+// Table III-style report, the estimate, the policy feature key, or — for
+// sources that do not compile — the diagnostics (a negative entry).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "apps/app.h"
 #include "grover/grover_pass.h"
 #include "perf/estimator.h"
+#include "policy/features.h"
 #include "sym/report.h"
 
 namespace grover::service {
@@ -66,6 +67,14 @@ struct Artifact {
   /// transformed IR is — the transform *introduced* a provable race, so
   /// the original must be served regardless of predicted np.
   bool proofVetoed = false;
+
+  /// The request's policy feature vector and policy-store key (DESIGN.md
+  /// §10), derived from the original module; filled for requests with a
+  /// platform. compileAuto() on a stored artifact reads them here instead
+  /// of compiling the kernel again.
+  bool hasFeatures = false;
+  policy::KernelFeatures features;
+  std::uint64_t policyKey = 0;
 
   /// Approximate memory footprint, used for the cache byte budget.
   [[nodiscard]] std::size_t byteSize() const {

@@ -1,122 +1,32 @@
 #include "service/artifact_cache.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <functional>
-#include <sstream>
-#include <thread>
+#include <limits>
 
 #include "ir/ir_parser.h"
 #include "ir/printer.h"
 #include "support/diagnostics.h"
-#include "support/hash.h"
 
 namespace grover::service {
 namespace {
 
 // ---- on-disk artifact format ---------------------------------------------
 //
-// Line-oriented header plus length-prefixed payloads:
-//   groverart 2
-//   key <hex16>
-//   i <name> <integer>
-//   b <name> <u64 bit pattern>      (doubles, bit-exact)
-//   s <name> <len>\n<len raw bytes>\n
-//   end
-// Module payloads are the exact ir::printModule output; the loader
-// reparses and re-prints them and requires a byte-identical fixed point.
+// One `groverart 3` record (support/record_file.h) per key. Version 3
+// added the checksum trailer and the feature key; older files fail the
+// header check and are recompiled once, like any other corrupt entry.
 
-class Writer {
- public:
-  void num(const char* name, std::int64_t v) {
-    os_ << "i " << name << " " << v << "\n";
-  }
-  void bits(const char* name, double v) {
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    std::memcpy(&u, &v, sizeof(u));
-    os_ << "b " << name << " " << u << "\n";
-  }
-  void str(const char* name, const std::string& s) {
-    os_ << "s " << name << " " << s.size() << "\n" << s << "\n";
-  }
-  std::ostringstream os_;
-};
+constexpr const char* kFormat = "groverart 3";
 
-/// Strict reader; any deviation throws GroverError → treated as a
-/// corrupt artifact by the caller.
-class Reader {
- public:
-  explicit Reader(std::string text) : text_(std::move(text)) {}
-
-  std::string line() {
-    const std::size_t nl = text_.find('\n', pos_);
-    if (nl == std::string::npos) throw GroverError("artifact: truncated");
-    std::string out = text_.substr(pos_, nl - pos_);
-    pos_ = nl + 1;
-    return out;
-  }
-  void expectLine(const std::string& want) {
-    if (line() != want) throw GroverError("artifact: bad header");
-  }
-  std::int64_t num(const char* name) {
-    const std::string l = line();
-    std::int64_t v = 0;
-    if (std::sscanf(l.c_str(), ("i " + std::string(name) + " %lld").c_str(),
-                    reinterpret_cast<long long*>(&v)) != 1) {
-      throw GroverError("artifact: expected int field " + std::string(name));
-    }
-    return v;
-  }
-  double bits(const char* name) {
-    const std::string l = line();
-    unsigned long long u = 0;
-    if (std::sscanf(l.c_str(), ("b " + std::string(name) + " %llu").c_str(),
-                    &u) != 1) {
-      throw GroverError("artifact: expected bits field " + std::string(name));
-    }
-    double v = 0;
-    const std::uint64_t u64 = u;
-    std::memcpy(&v, &u64, sizeof(v));
-    return v;
-  }
-  std::string str(const char* name) {
-    const std::string l = line();
-    unsigned long long len = 0;
-    if (std::sscanf(l.c_str(), ("s " + std::string(name) + " %llu").c_str(),
-                    &len) != 1) {
-      throw GroverError("artifact: expected string field " +
-                        std::string(name));
-    }
-    if (pos_ + len + 1 > text_.size() || text_[pos_ + len] != '\n') {
-      throw GroverError("artifact: bad string length for " +
-                        std::string(name));
-    }
-    std::string out = text_.substr(pos_, len);
-    pos_ += len + 1;
-    return out;
-  }
-
- private:
-  std::string text_;
-  std::size_t pos_ = 0;
-};
-
-std::string serialize(std::uint64_t key, const Artifact& a) {
-  Writer w;
-  w.os_ << "groverart 2\n" << "key " << toHex64(key) << "\n";
-  w.num("ok", a.ok ? 1 : 0);
+void writeArtifact(RecordWriter& w, const Artifact& a) {
+  w.num("ok", a.ok);
   w.str("diagnostics", a.diagnostics);
-  w.num("anyTransformed", a.report.anyTransformed ? 1 : 0);
-  w.num("barriersRemoved", a.report.barriersRemoved ? 1 : 0);
+  w.num("anyTransformed", a.report.anyTransformed);
+  w.num("barriersRemoved", a.report.barriersRemoved);
   w.num("numBuffers", static_cast<std::int64_t>(a.report.buffers.size()));
   for (const auto& b : a.report.buffers) {
     w.str("name", b.bufferName);
-    w.num("transformed", b.transformed ? 1 : 0);
+    w.num("transformed", b.transformed);
     w.str("reason", b.reason);
     w.str("glIndex", b.glIndex);
     w.str("lsIndex", b.lsIndex);
@@ -128,7 +38,7 @@ std::string serialize(std::uint64_t key, const Artifact& a) {
     w.num("numLocalLoads", b.numLocalLoads);
     w.num("numStagingPairs", b.numStagingPairs);
   }
-  w.num("hasEstimate", a.hasEstimate ? 1 : 0);
+  w.num("hasEstimate", a.hasEstimate);
   w.bits("cyclesWithLM", a.cyclesWithLM);
   w.bits("cyclesWithoutLM", a.cyclesWithoutLM);
   w.bits("normalized", a.normalized);
@@ -136,99 +46,92 @@ std::string serialize(std::uint64_t key, const Artifact& a) {
   w.num("proofOriginal", static_cast<std::int64_t>(a.proofOriginal));
   w.num("proofTransformed", static_cast<std::int64_t>(a.proofTransformed));
   w.str("proofNote", a.proofNote);
-  w.num("proofVetoed", a.proofVetoed ? 1 : 0);
+  w.num("proofVetoed", a.proofVetoed);
+  w.num("hasFeatures", a.hasFeatures);
+  if (a.hasFeatures) {
+    policy::writeFeatures(w, a.features);
+    w.num("policyKey", static_cast<std::int64_t>(a.policyKey));
+  }
   w.str("original", a.originalText);
   w.str("transformed", a.transformedText);
-  w.os_ << "end\n";
-  return w.os_.str();
 }
 
-sym::ProofStatus toProofStatus(std::int64_t v) {
-  if (v < 0 || v > static_cast<std::int64_t>(sym::ProofStatus::Unknown)) {
-    throw GroverError("artifact: bad proof status");
-  }
-  return static_cast<sym::ProofStatus>(v);
-}
-
-grv::IndexPattern toPattern(std::int64_t v) {
-  if (v < 0 || v > static_cast<std::int64_t>(grv::IndexPattern::Other)) {
-    throw GroverError("artifact: bad index pattern");
-  }
-  return static_cast<grv::IndexPattern>(v);
-}
-
-/// Reject module text the parser would not reproduce byte-identically.
-void requireRoundTrip(const std::string& text) {
-  if (text.empty()) return;
-  ir::Context ctx;
-  auto module = ir::parseModule(ctx, text);  // verifies every function
-  if (ir::printModule(*module) != text) {
-    throw GroverError("artifact: module text is not print-parse stable");
-  }
-}
-
-Artifact deserialize(std::uint64_t key, std::string text) {
-  Reader r(std::move(text));
-  r.expectLine("groverart 2");
-  r.expectLine("key " + toHex64(key));
-  Artifact a;
-  a.ok = r.num("ok") != 0;
+void readArtifact(RecordReader& r, Artifact& a) {
+  constexpr auto kLastPattern =
+      static_cast<std::int64_t>(grv::IndexPattern::Other);
+  constexpr auto kLastProof =
+      static_cast<std::int64_t>(sym::ProofStatus::Unknown);
+  constexpr auto kUnsignedMax =
+      static_cast<std::int64_t>(std::numeric_limits<unsigned>::max());
+  a.ok = r.flag("ok");
   a.diagnostics = r.str("diagnostics");
-  a.report.anyTransformed = r.num("anyTransformed") != 0;
-  a.report.barriersRemoved = r.num("barriersRemoved") != 0;
-  const std::int64_t numBuffers = r.num("numBuffers");
-  if (numBuffers < 0 || numBuffers > 4096) {
-    throw GroverError("artifact: bad buffer count");
-  }
+  a.report.anyTransformed = r.flag("anyTransformed");
+  a.report.barriersRemoved = r.flag("barriersRemoved");
+  const std::int64_t numBuffers = r.num("numBuffers", 0, 4096);
   for (std::int64_t i = 0; i < numBuffers; ++i) {
     grv::BufferResult b;
     b.bufferName = r.str("name");
-    b.transformed = r.num("transformed") != 0;
+    b.transformed = r.flag("transformed");
     b.reason = r.str("reason");
     b.glIndex = r.str("glIndex");
     b.lsIndex = r.str("lsIndex");
     b.llIndex = r.str("llIndex");
     b.nglIndex = r.str("nglIndex");
     b.solution = r.str("solution");
-    b.lsPattern = toPattern(r.num("lsPattern"));
-    b.llPattern = toPattern(r.num("llPattern"));
-    b.numLocalLoads = static_cast<unsigned>(r.num("numLocalLoads"));
-    b.numStagingPairs = static_cast<unsigned>(r.num("numStagingPairs"));
+    b.lsPattern =
+        static_cast<grv::IndexPattern>(r.num("lsPattern", 0, kLastPattern));
+    b.llPattern =
+        static_cast<grv::IndexPattern>(r.num("llPattern", 0, kLastPattern));
+    b.numLocalLoads =
+        static_cast<unsigned>(r.num("numLocalLoads", 0, kUnsignedMax));
+    b.numStagingPairs =
+        static_cast<unsigned>(r.num("numStagingPairs", 0, kUnsignedMax));
     a.report.buffers.push_back(std::move(b));
   }
-  a.hasEstimate = r.num("hasEstimate") != 0;
+  a.hasEstimate = r.flag("hasEstimate");
   a.cyclesWithLM = r.bits("cyclesWithLM");
   a.cyclesWithoutLM = r.bits("cyclesWithoutLM");
   a.normalized = r.bits("normalized");
-  const std::int64_t outcome = r.num("outcome");
-  if (outcome < 0 || outcome > static_cast<std::int64_t>(perf::Outcome::Similar)) {
-    throw GroverError("artifact: bad outcome");
-  }
-  a.outcome = static_cast<perf::Outcome>(outcome);
-  a.proofOriginal = toProofStatus(r.num("proofOriginal"));
-  a.proofTransformed = toProofStatus(r.num("proofTransformed"));
+  a.outcome = static_cast<perf::Outcome>(r.num(
+      "outcome", 0, static_cast<std::int64_t>(perf::Outcome::Similar)));
+  a.proofOriginal =
+      static_cast<sym::ProofStatus>(r.num("proofOriginal", 0, kLastProof));
+  a.proofTransformed =
+      static_cast<sym::ProofStatus>(r.num("proofTransformed", 0, kLastProof));
   a.proofNote = r.str("proofNote");
-  a.proofVetoed = r.num("proofVetoed") != 0;
+  a.proofVetoed = r.flag("proofVetoed");
+  a.hasFeatures = r.flag("hasFeatures");
+  if (a.hasFeatures) {
+    a.features = policy::readFeatures(r);
+    a.policyKey = static_cast<std::uint64_t>(r.num("policyKey"));
+  }
   a.originalText = r.str("original");
   a.transformedText = r.str("transformed");
-  r.expectLine("end");
-  requireRoundTrip(a.originalText);
-  requireRoundTrip(a.transformedText);
-  return a;
+}
+
+/// Whether module text reparses, verifies and prints back
+/// byte-identically — the fixed point every stored module must be.
+bool printParseStable(const std::string& text) {
+  if (text.empty()) return true;
+  try {
+    ir::Context ctx;
+    // parseModule verifies every function it parses.
+    return ir::printModule(*ir::parseModule(ctx, text)) == text;
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace
 
-ArtifactCache::ArtifactCache(Config config) : config_(std::move(config)) {
+ArtifactCache::ArtifactCache(Config config)
+    : config_(std::move(config)),
+      disk_(config_.diskDir, ".grvart", kFormat, "artifact") {
   const unsigned n = std::max(1u, config_.shards);
   shardBudget_ = std::max<std::size_t>(1, config_.maxBytes / n);
   shards_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-  }
-  if (!config_.diskDir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.diskDir, ec);
   }
 }
 
@@ -273,82 +176,26 @@ void ArtifactCache::put(std::uint64_t key, ArtifactPtr artifact) {
 }
 
 std::string ArtifactCache::diskPath(std::uint64_t key) const {
-  if (config_.diskDir.empty()) return {};
-  return config_.diskDir + "/" + toHex64(key) + ".grvart";
+  return disk_.path(key);
 }
 
 ArtifactPtr ArtifactCache::loadFromDisk(std::uint64_t key) {
-  const std::string path = diskPath(key);
-  if (path.empty()) return nullptr;
-  std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::lock_guard lock(disk_mutex_);
-      ++disk_misses_;
-      return nullptr;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad()) {
-      std::lock_guard lock(disk_mutex_);
-      ++disk_failures_;
-      return nullptr;
-    }
-    text = buf.str();
-  }
-  try {
-    auto artifact = std::make_shared<Artifact>(deserialize(key, std::move(text)));
-    std::lock_guard lock(disk_mutex_);
-    ++disk_hits_;
-    return artifact;
-  } catch (const std::exception&) {
-    // Corrupt artifact: drop it so the recompiled result can replace it.
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::lock_guard lock(disk_mutex_);
-    ++disk_failures_;
+  auto artifact = std::make_shared<Artifact>();
+  if (!disk_.load(key, [&](RecordReader& r) { readArtifact(r, *artifact); })) {
     return nullptr;
   }
+  return artifact;
 }
 
 void ArtifactCache::storeToDisk(std::uint64_t key, const Artifact& artifact) {
-  const std::string path = diskPath(key);
-  if (path.empty()) return;
-  const std::string payload = serialize(key, artifact);
-  // Write-then-rename so concurrent readers never observe a torn file
-  // and a crash mid-write can never leave a truncated artifact — only a
-  // stale .tmp. The temp name is unique per write (not just per key) so
-  // two processes sharing a cache directory cannot interleave writes to
-  // the same temp file.
-  static std::atomic<std::uint64_t> tmpCounter{0};
-  Fnv1a tmpTag;
-  tmpTag.update(static_cast<std::uint64_t>(
-      std::hash<std::thread::id>{}(std::this_thread::get_id())));
-  tmpTag.update(static_cast<std::uint64_t>(
-      reinterpret_cast<std::uintptr_t>(&tmpCounter)));  // per-process (ASLR)
-  tmpTag.update(tmpCounter.fetch_add(1));
-  const std::string tmp = path + ".tmp" + toHex64(tmpTag.digest());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out << payload;
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::error_code cleanupEc;
-      std::filesystem::remove(tmp, cleanupEc);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
+  if (!disk_.enabled()) return;
+  // A load trusts the checksum and parses no IR, so the parse check runs
+  // here, once, before the artifact is written.
+  if (!printParseStable(artifact.originalText) ||
+      !printParseStable(artifact.transformedText)) {
     return;
   }
-  std::lock_guard lock(disk_mutex_);
-  ++disk_stores_;
+  disk_.store(key, [&](RecordWriter& w) { writeArtifact(w, artifact); });
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
@@ -361,11 +208,11 @@ ArtifactCache::Stats ArtifactCache::stats() const {
     s.entries += shard->lru.size();
     s.bytesInUse += shard->bytes;
   }
-  std::lock_guard lock(disk_mutex_);
-  s.diskHits = disk_hits_;
-  s.diskMisses = disk_misses_;
-  s.diskLoadFailures = disk_failures_;
-  s.diskStores = disk_stores_;
+  const RecordDir::Stats d = disk_.stats();
+  s.diskHits = d.hits;
+  s.diskMisses = d.misses;
+  s.diskLoadFailures = d.loadFailures;
+  s.diskStores = d.stores;
   return s;
 }
 

@@ -3,12 +3,14 @@
 // hashes of (source, transform options, platform, scale) — see
 // CompileService::cacheKey.
 //
-// The on-disk format embeds the modules exactly as ir/printer.h renders
-// them and reloads them through ir::parseModule: the textual IR
-// round-trip IS the cache format (no separate serializer). A loaded
-// artifact is only served when its header parses, the key matches, the
-// modules reparse + verify, and print(parse(text)) == text; anything
-// else counts as corruption and falls back to recompilation.
+// The disk tier holds one checksummed `groverart 3` record per key
+// (support/record_file.h), with both modules embedded exactly as
+// ir/printer.h renders them. The parse check runs when an artifact is
+// written: storeToDisk() writes only module text that reparses, verifies
+// and prints back byte-identically. A load then reads the file, checks the
+// checksum trailer and the fields, and parses no IR. A record that fails
+// (bad checksum, header, key or field) counts as corruption, is deleted,
+// and the request falls back to recompilation.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "service/artifact.h"
+#include "support/record_file.h"
 
 namespace grover::service {
 
@@ -63,8 +66,10 @@ class ArtifactCache {
   [[nodiscard]] ArtifactPtr loadFromDisk(std::uint64_t key);
 
   /// Persist an artifact (atomic write-then-rename). No-op without a
-  /// disk tier; write errors are swallowed — the disk tier is an
-  /// optimization, never a correctness dependency.
+  /// disk tier. An artifact whose module text is not print-parse stable
+  /// is neither written nor counted in diskStores. Write errors are
+  /// swallowed — the disk tier is an optimization, never a correctness
+  /// dependency.
   void storeToDisk(std::uint64_t key, const Artifact& artifact);
 
   [[nodiscard]] Stats stats() const;
@@ -94,10 +99,7 @@ class ArtifactCache {
   Config config_;
   std::size_t shardBudget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex disk_mutex_;
-  std::uint64_t disk_hits_ = 0, disk_misses_ = 0, disk_failures_ = 0,
-                disk_stores_ = 0;
+  RecordDir disk_;
 };
 
 }  // namespace grover::service

@@ -257,8 +257,11 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
 
   // The feature vector the decision is keyed on comes from a front-end
   // compile (~0.5 ms), so it is derived once per distinct request and
-  // memoized. `program` stays empty on a memo hit until a warm decision
-  // without a cached full artifact needs a module to build the winner.
+  // memoized. A stored artifact carries it too: on a memo miss the
+  // artifact tiers are probed first, and a restarted service reads the
+  // key from disk instead of compiling. `program` stays empty unless the
+  // front end ran, until a warm decision without a cached full artifact
+  // needs a module to build the winner.
   Program program;
   bool memoHit = false;
   {
@@ -272,30 +275,32 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
   if (memoHit) {
     bump(&Counters::featureKeysReused);
   } else {
-    if (ArtifactPtr failed = frontEnd(resolved, program)) {
-      out.artifact = std::move(failed);
-      return out;
+    ArtifactPtr stored;
+    bool diskHit = false;
+    {
+      StageTimer timer(*this, &Counters::cacheNs);
+      stored = cache_.get(key);
+      if (stored == nullptr) {
+        stored = cache_.loadFromDisk(key);
+        diskHit = stored != nullptr;
+        if (diskHit) cache_.put(key, stored);
+      }
     }
-    const apps::Application& app = apps::applicationById(resolved.appId);
-    const apps::Instance instance = app.makeInstance(resolved.scale);
-    out.features = policy::extractFeatures(*program.kernel(resolved.kernelName),
-                                           &instance.range);
-    // The tag folds in everything that shapes the transform besides the
-    // kernel itself: the scale and the Grover options. The NVD-MM-A/B/AB
-    // family shares one kernel source (identical features) but disables
-    // different buffers — with different winners, so they must not share
-    // a decision.
-    Fnv1a tag;
-    tag.update(static_cast<std::uint64_t>(resolved.scale));
-    tag.update(
-        static_cast<std::uint64_t>(resolved.options.onlyBuffers.size()));
-    for (const std::string& b : resolved.options.onlyBuffers) {
-      tag.update(std::string_view(b));  // std::set iterates in sorted order
+    if (diskHit) bump(&Counters::diskHits);
+    if (stored != nullptr && stored->hasFeatures) {
+      out.features = stored->features;
+      out.policyKey = stored->policyKey;
+      bump(&Counters::featureKeysReused);
+    } else {
+      if (ArtifactPtr failed = frontEnd(resolved, program)) {
+        out.artifact = std::move(failed);
+        return out;
+      }
+      const FeatureKey derived =
+          featureKeyOf(resolved, *program.kernel(resolved.kernelName));
+      out.features = derived.features;
+      out.policyKey = derived.policyKey;
     }
-    tag.update(resolved.options.removeBarriers);
-    tag.update(resolved.options.cleanup);
-    tag.update(resolved.options.prove);
-    out.policyKey = policy::featureKey(out.features, spec.name, tag.digest());
     std::lock_guard lock(mutex_);
     feature_keys_.try_emplace(key, FeatureKey{out.features, out.policyKey});
   }
@@ -583,6 +588,17 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
       return negative(diags.str());
     }
   }
+  // The request's feature key rides in the artifact, so that compileAuto()
+  // on a stored artifact needs no front end. Grover never touches
+  // `original`.
+  if (!resolved.platform.empty()) {
+    if (ir::Function* kernel = original.kernel(resolved.kernelName)) {
+      const FeatureKey derived = featureKeyOf(resolved, *kernel);
+      artifact->hasFeatures = true;
+      artifact->features = derived.features;
+      artifact->policyKey = derived.policyKey;
+    }
+  }
   checkCancelled();
 
   {
@@ -731,6 +747,31 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
   return artifact;
 }
 
+CompileService::FeatureKey CompileService::featureKeyOf(
+    const Request& resolved, ir::Function& kernel) {
+  const apps::Application& app = apps::applicationById(resolved.appId);
+  const apps::Instance instance = app.makeInstance(resolved.scale);
+  FeatureKey out;
+  out.features = policy::extractFeatures(kernel, &instance.range);
+  // The tag folds in everything that shapes the transform besides the
+  // kernel itself: the scale and the Grover options. The NVD-MM-A/B/AB
+  // family shares one kernel source (identical features) but disables
+  // different buffers — with different winners, so they must not share
+  // a decision.
+  Fnv1a tag;
+  tag.update(static_cast<std::uint64_t>(resolved.scale));
+  tag.update(static_cast<std::uint64_t>(resolved.options.onlyBuffers.size()));
+  for (const std::string& b : resolved.options.onlyBuffers) {
+    tag.update(std::string_view(b));  // std::set iterates in sorted order
+  }
+  tag.update(resolved.options.removeBarriers);
+  tag.update(resolved.options.cleanup);
+  tag.update(resolved.options.prove);
+  out.policyKey = policy::featureKey(out.features, resolved.platform,
+                                     tag.digest());
+  return out;
+}
+
 CompileService::Proof CompileService::prove(ir::Function& fn,
                                             const sym::ProveOptions& opts) {
   const sym::SymbolicReport report = sym::proveRaceFreedom(fn, opts);
@@ -799,6 +840,7 @@ ServiceStats CompileService::stats() const {
   // never observe e.g. policyHits from after a request but measurements
   // from before it.
   const ArtifactCache::Stats c = cache_.stats();
+  const policy::PolicyStore::Stats p = policy_store_.stats();
   const policy::FeedbackLoop::Stats f = feedback_.stats();
   Counters snap;
   {
@@ -816,6 +858,7 @@ ServiceStats CompileService::stats() const {
   s.cancelled = snap.cancelled;
   s.evictions = c.evictions;
   s.diskLoadFailures = c.diskLoadFailures;
+  s.policyDiskLoadFailures = p.diskLoadFailures;
   s.diskStores = c.diskStores;
   s.entries = c.entries;
   s.bytesInUse = c.bytesInUse;

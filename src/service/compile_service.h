@@ -75,10 +75,13 @@ struct ServiceStats {
   std::uint64_t negativeHits = 0;  // of those, cached failures/diagnostics
   std::uint64_t coalesced = 0;     // joined an in-flight identical request
   std::uint64_t misses = 0;        // became the compiling leader
-  std::uint64_t diskHits = 0;      // leader loaded the disk artifact
+  std::uint64_t diskHits = 0;      // a leader or compileAuto() loaded it
   std::uint64_t compiles = 0;      // full pipeline executions
   std::uint64_t evictions = 0;
   std::uint64_t diskLoadFailures = 0;
+  /// Stored policy decisions dropped on load: a bad checksum, header or
+  /// field (PolicyStore::Stats::diskLoadFailures).
+  std::uint64_t policyDiskLoadFailures = 0;
   std::uint64_t diskStores = 0;
   std::uint64_t entries = 0;
   std::uint64_t bytesInUse = 0;
@@ -91,8 +94,9 @@ struct ServiceStats {
   std::uint64_t policyStores = 0;  // decisions learned this run
   std::uint64_t policyFlips = 0;   // decisions flipped by feedback
   std::uint64_t policyMismatches = 0;  // predicted-vs-measured flags
-  /// Requests whose feature vector and policy key came from the memo of
-  /// an earlier identical request (no front-end compile to derive them).
+  /// Requests whose feature vector and policy key came without a
+  /// front-end compile: from the memo of an earlier identical request, or
+  /// from the request's stored artifact (memory or disk tier).
   std::uint64_t featureKeysReused = 0;
   // Sampled real-execution measurements (config.measureRate).
   std::uint64_t measurements = 0;        // completed measurements
@@ -189,10 +193,12 @@ class CompileService {
 
   /// Policy-driven entry point (DESIGN.md §10). Extracts the kernel's
   /// architecture-independent features (once per distinct request; later
-  /// identical requests reuse them without compiling), consults the
-  /// decision store keyed on (features, platform, scale), and on a warm
-  /// decision compiles and serves *only* the winning variant — the
-  /// losing variant's transform/print/estimate pipeline is skipped.
+  /// identical requests reuse them without compiling, and so does a
+  /// request whose artifact is in memory or on disk: the artifact carries
+  /// them), consults the decision store keyed on (features, platform,
+  /// scale), and on a warm decision compiles and serves *only* the
+  /// winning variant — the losing variant's transform/print/estimate
+  /// pipeline is skipped.
   /// On a cold key the request runs through the normal cached pipeline
   /// (both variants + estimates), the engine derives the verdict at the
   /// paper's 5% threshold, and the decision is persisted. Requests
@@ -343,20 +349,26 @@ class CompileService {
   /// it, so a mismatch can be re-estimated (guarded by mutex_).
   std::unordered_map<std::uint64_t, Request> auto_requests_;
   /// cacheKey(resolved) → what compileAuto() derived from that request's
-  /// front-end compile (guarded by mutex_). Both are pure functions of
-  /// the resolved request, so a warm hit reads them here instead of
-  /// compiling. It holds no decision or artifact: every request still
-  /// reads the policy store, so feedback flips, refreshes, decay and the
-  /// Refuted guard apply to it. No eviction: only requests with a
-  /// platform get here, resolve() accepts a platform only for a built-in
-  /// app (which fixes source, kernel and onlyBuffers) and canonicalizes
-  /// its name, so at most 11 apps × 6 platforms × 2 scales × 2³ option
-  /// bits (removeBarriers, cleanup, prove) = 1056 entries can exist.
+  /// front-end compile or read from its stored artifact (guarded by
+  /// mutex_). Both are pure functions of the resolved request, so a warm
+  /// hit reads them here instead of compiling. It holds no decision or
+  /// artifact: every request still reads the policy store, so feedback
+  /// flips, refreshes, decay and the Refuted guard apply to it. No
+  /// eviction: only requests with a platform get here, resolve() accepts
+  /// a platform only for a built-in app (which fixes source, kernel and
+  /// onlyBuffers) and canonicalizes its name, so at most 11 apps × 6
+  /// platforms × 2 scales × 2³ option bits (removeBarriers, cleanup,
+  /// prove) = 1056 entries can exist.
   struct FeatureKey {
     policy::KernelFeatures features;
     std::uint64_t policyKey = 0;
   };
   std::unordered_map<std::uint64_t, FeatureKey> feature_keys_;
+  /// The feature vector of a resolved request with a platform, taken from
+  /// its front-end-compiled `kernel`, and the policy key it maps to.
+  /// compileAuto() and compileUncached() both derive the key here.
+  [[nodiscard]] static FeatureKey featureKeyOf(const Request& resolved,
+                                               ir::Function& kernel);
   /// Pure results of a cold compile, keyed by the printed kernel the
   /// artifact carries (guarded by mutex_), so a kernel that several
   /// requests share is proved and estimated once per service:

@@ -2,7 +2,8 @@
 // print → parse → print must be a byte-identical fixed point, and the
 // reparsed module must pass the verifier — before AND after Grover. This
 // is the correctness foundation of the service's on-disk artifact tier,
-// which uses the textual IR round-trip as its cache format.
+// which stores printed modules and writes only text that passes this
+// round trip.
 #include <gtest/gtest.h>
 
 #include "apps/app.h"

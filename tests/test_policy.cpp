@@ -10,7 +10,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -22,6 +24,7 @@
 #include "policy/feedback.h"
 #include "policy/policy_store.h"
 #include "service/compile_service.h"
+#include "support/hash.h"
 
 namespace {
 
@@ -178,6 +181,62 @@ TEST(PolicyStore, CorruptDiskEntryIsDeletedAndMisses) {
   policy::PolicyStore again(config);
   ASSERT_TRUE(again.lookup(42).has_value());
   EXPECT_EQ(again.lookup(42)->predictedNp, 0.9);
+  fs::remove_all(dir);
+}
+
+TEST(PolicyStore, ChangedStoredVariantIsNotServed) {
+  // Well-formed edits of a stored decision — a flipped variant, and a
+  // file of the previous format — are dropped, never served.
+  const fs::path dir = freshDir("changed");
+  policy::PolicyStore::Config config;
+  config.diskDir = dir.string();
+  policy::Decision d;
+  d.variant = policy::Variant::Transformed;
+  d.predictedOutcome = perf::Outcome::Gain;
+  d.predictedNp = 2.252;
+  d.confidence = 0.95;
+  d.source = "estimate";
+  const std::string path = policy::PolicyStore(config).diskPath(42);
+  const auto storeAndRead = [&] {
+    policy::PolicyStore(config).store(42, d);
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+
+  std::string changedVariant = storeAndRead();
+  const std::size_t at = changedVariant.find("i variant 1\n");
+  ASSERT_NE(at, std::string::npos);
+  changedVariant.replace(at, 11, "i variant 0");
+  const std::string previousFormat =
+      "groverpol 2\nkey " + toHex64(42) +
+      "\ni variant 0\ni outcome 1\nb predictedNp 4607182418800017408\n"
+      "b confidence 4606732058837280358\ns source 8\nestimate\n"
+      "b ewmaNp 0\ni observations 0\ni mismatch 0\ni proof 0\n"
+      "i storedAtMs 0\nend\n";
+
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"changed variant", changedVariant},
+      {"groverpol 2 file", previousFormat}};
+  for (const auto& [what, text] : edits) {
+    {
+      std::ofstream out(path, std::ios::trunc | std::ios::binary);
+      out << text;
+    }
+    policy::PolicyStore store(config);
+    EXPECT_FALSE(store.lookup(42).has_value()) << what;
+    EXPECT_EQ(store.stats().diskLoadFailures, 1u) << what;
+    EXPECT_FALSE(fs::exists(path)) << what << ": file must be deleted";
+    // Re-deciding rewrites the entry, and it reloads as stored.
+    (void)storeAndRead();
+    policy::PolicyStore again(config);
+    const auto hit = again.lookup(42);
+    ASSERT_TRUE(hit.has_value()) << what;
+    EXPECT_EQ(hit->variant, policy::Variant::Transformed) << what;
+    EXPECT_EQ(hit->predictedNp, 2.252) << what;
+    EXPECT_EQ(again.stats().diskLoadFailures, 0u) << what;
+  }
   fs::remove_all(dir);
 }
 

@@ -1,19 +1,24 @@
 // Cache semantics of the compilation service: LRU byte budget, negative
 // caching of compile failures, the on-disk tier (hit, corruption
-// fallback), bit-identity of cached estimates with the uncached Harness
-// path, and the proof and estimate memos of cold compiles.
+// fallback, the store-time parse check, a restarted service answering
+// auto requests from disk), bit-identity of cached estimates with the
+// uncached Harness path, and the proof and estimate memos of cold
+// compiles.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "grovercl/harness.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
+#include "support/hash.h"
 
 namespace grover::service {
 namespace {
@@ -34,6 +39,49 @@ std::string freshDir(const std::string& tag) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void writeFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out << text;
+}
+
+/// Every artifact field a memo or the disk tier could change, compared
+/// exactly.
+void expectSameArtifact(const Artifact& a, const Artifact& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.originalText, b.originalText) << what;
+  EXPECT_EQ(a.transformedText, b.transformedText) << what;
+  EXPECT_EQ(a.hasEstimate, b.hasEstimate) << what;
+  EXPECT_EQ(a.cyclesWithLM, b.cyclesWithLM) << what;
+  EXPECT_EQ(a.cyclesWithoutLM, b.cyclesWithoutLM) << what;
+  EXPECT_EQ(a.normalized, b.normalized) << what;
+  EXPECT_EQ(a.outcome, b.outcome) << what;
+  EXPECT_EQ(a.proofOriginal, b.proofOriginal) << what;
+  EXPECT_EQ(a.proofTransformed, b.proofTransformed) << what;
+  EXPECT_EQ(a.proofNote, b.proofNote) << what;
+  EXPECT_EQ(a.proofVetoed, b.proofVetoed) << what;
+  EXPECT_EQ(a.hasFeatures, b.hasFeatures) << what;
+  EXPECT_EQ(a.features.str(), b.features.str()) << what;
+  EXPECT_EQ(a.policyKey, b.policyKey) << what;
+}
+
+Request estimateRequest(const std::string& app, const std::string& platform,
+                        bool prove = false) {
+  Request req;
+  req.appId = app;
+  req.platform = platform;
+  req.scale = apps::Scale::Test;
+  req.options.prove = prove;
+  return req;
 }
 
 TEST(ArtifactCacheLru, EvictionRespectsByteBudget) {
@@ -207,6 +255,157 @@ TEST(ServiceDiskTier, CorruptedArtifactFallsBackToRecompilation) {
   fs::remove_all(dir);
 }
 
+TEST(ServiceDiskTier, ChangedStoredValueIsNotServed) {
+  // Edits that leave a stored artifact well-formed: a changed estimate, a
+  // changed IR constant (the module still parses and prints back as
+  // written), and a file of the previous format. None may be served.
+  const std::string dir = freshDir("changed");
+  const Request req = estimateRequest("NVD-MT", "SNB");
+  ServiceConfig config;
+  config.cache.diskDir = dir;
+  ArtifactPtr cold;
+  {
+    CompileService service(config);
+    cold = service.run(req);
+    ASSERT_TRUE(cold->ok);
+    ASSERT_TRUE(cold->hasEstimate);
+  }
+  const std::uint64_t key =
+      CompileService::cacheKey(CompileService::resolve(req));
+  const std::string path = ArtifactCache(config.cache).diskPath(key);
+  const std::string stored = readFile(path);
+
+  std::string changedEstimate = stored;
+  {
+    const std::size_t line = changedEstimate.find("\nb normalized ");
+    ASSERT_NE(line, std::string::npos);
+    const std::size_t digit = changedEstimate.find('\n', line + 1) - 1;
+    char& c = changedEstimate[digit];
+    c = c == '9' ? '8' : static_cast<char>(c + 1);
+  }
+  std::string changedModule = stored;
+  {
+    const std::size_t payload = changedModule.find("\ns transformed ");
+    ASSERT_NE(payload, std::string::npos);
+    const std::string from = "get_local_id(i32 0)";
+    const std::size_t at = changedModule.find(from, payload);
+    ASSERT_NE(at, std::string::npos);
+    changedModule.replace(at, from.size(), "get_local_id(i32 1)");
+  }
+  // Well-formed in the previous format, empty modules included.
+  const std::string previousFormat =
+      "groverart 2\nkey " + toHex64(key) +
+      "\ni ok 1\ns diagnostics 0\n\ni anyTransformed 0\n"
+      "i barriersRemoved 0\ni numBuffers 0\ni hasEstimate 1\n"
+      "b cyclesWithLM 4607182418800017408\n"
+      "b cyclesWithoutLM 4607182418800017408\n"
+      "b normalized 4607182418800017408\ni outcome 2\n"
+      "i proofOriginal 0\ni proofTransformed 0\ns proofNote 0\n\n"
+      "i proofVetoed 0\ns original 0\n\ns transformed 0\n\nend\n";
+
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"changed estimate digit", changedEstimate},
+      {"changed IR constant", changedModule},
+      {"groverart 2 file", previousFormat}};
+  for (const auto& [what, text] : edits) {
+    writeFile(path, text);
+    {
+      ArtifactCache cache(config.cache);
+      EXPECT_EQ(cache.loadFromDisk(key), nullptr) << what;
+      EXPECT_EQ(cache.stats().diskLoadFailures, 1u) << what;
+      EXPECT_FALSE(fs::exists(path)) << what << ": file must be deleted";
+    }
+    writeFile(path, text);
+    CompileService service(config);
+    const ArtifactPtr served = service.run(req);
+    ASSERT_TRUE(served->ok) << what;
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.diskLoadFailures, 1u) << what;
+    EXPECT_EQ(s.diskHits, 0u) << what;
+    EXPECT_EQ(s.compiles, 1u) << what;
+    expectSameArtifact(*served, *cold, what);
+    EXPECT_EQ(readFile(path), stored) << what << ": file must be rewritten";
+  }
+  fs::remove_all(dir);
+}
+
+TEST(ServiceDiskTier, StoreWritesOnlyPrintParseStableModules) {
+  const std::string dir = freshDir("stable");
+  ArtifactCache::Config config;
+  config.diskDir = dir;
+  ArtifactCache cache(config);
+  const ArtifactPtr good =
+      CompileService(ServiceConfig{}).run(estimateRequest("NVD-MT", "SNB"));
+  ASSERT_TRUE(good->ok);
+
+  const std::vector<std::pair<std::string, std::string>> unstable = {
+      {"not IR", "this is not a module\n"},
+      {"reparses but prints differently", good->originalText + "\n\n"}};
+  std::uint64_t key = 1;
+  for (const auto& [what, text] : unstable) {
+    Artifact bad = *good;
+    bad.originalText = text;
+    cache.storeToDisk(key, bad);
+    EXPECT_FALSE(fs::exists(cache.diskPath(key))) << what;
+    EXPECT_EQ(cache.stats().diskStores, 0u) << what;
+    ++key;
+  }
+  cache.storeToDisk(key, *good);
+  EXPECT_TRUE(fs::exists(cache.diskPath(key)));
+  EXPECT_EQ(cache.stats().diskStores, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(ServiceDiskTier, RestartedServiceAnswersAutoFromDisk) {
+  const std::string dir = freshDir("restart");
+  const Request req = estimateRequest("NVD-MT", "SNB");
+  ServiceConfig config;
+  config.cache.diskDir = dir + "/cache";
+  config.policyStore.diskDir = dir + "/policy";
+  AutoResult first;
+  {
+    CompileService a(config);
+    first = a.compileAuto(req);
+    ASSERT_TRUE(first.eligible);
+    ASSERT_FALSE(first.policyHit);
+    ASSERT_TRUE(first.artifact->ok);
+    EXPECT_TRUE(first.artifact->hasFeatures);
+    EXPECT_EQ(first.artifact->policyKey, first.policyKey);
+  }
+
+  // A fresh service on the same directories: two file reads, and no front
+  // end, Grover, print or estimate.
+  CompileService b(config);
+  const AutoResult restarted = b.compileAuto(req);
+  ASSERT_TRUE(restarted.eligible);
+  EXPECT_TRUE(restarted.policyHit);
+  EXPECT_EQ(restarted.policyKey, first.policyKey);
+  EXPECT_EQ(restarted.features.str(), first.features.str());
+  EXPECT_EQ(restarted.decision.variant, first.decision.variant);
+  EXPECT_EQ(restarted.servedText(), first.servedText());
+  ASSERT_TRUE(restarted.artifact->ok);
+  EXPECT_TRUE(restarted.artifact->hasEstimate) << "the full artifact";
+  expectSameArtifact(*restarted.artifact, *first.artifact, "restarted");
+  ServiceStats s = b.stats();
+  EXPECT_EQ(s.compiles, 0u);
+  EXPECT_EQ(s.diskHits, 1u);
+  EXPECT_EQ(s.featureKeysReused, 1u);
+  EXPECT_EQ(s.policyHits, 1u);
+  EXPECT_EQ(s.frontendMs, 0.0);
+  EXPECT_EQ(s.groverMs, 0.0);
+  EXPECT_EQ(s.printMs, 0.0);
+  EXPECT_EQ(s.estimateMs, 0.0);
+
+  // The plain request that follows is a memory hit.
+  const ArtifactPtr plain = b.run(req);
+  EXPECT_EQ(plain.get(), restarted.artifact.get());
+  s = b.stats();
+  EXPECT_EQ(s.memoryHits, 1u);
+  EXPECT_EQ(s.diskHits, 1u);
+  EXPECT_EQ(s.compiles, 0u);
+  fs::remove_all(dir);
+}
+
 TEST(ServiceEstimates, BitIdenticalToUncachedHarness) {
   Request req;
   req.appId = "NVD-MT";
@@ -228,33 +427,6 @@ TEST(ServiceEstimates, BitIdenticalToUncachedHarness) {
   // A warm hit serves the very same artifact object.
   const ArtifactPtr warm = service.run(req);
   EXPECT_EQ(warm.get(), served.get());
-}
-
-/// Every artifact field a memo could change, compared exactly.
-void expectSameArtifact(const Artifact& a, const Artifact& b,
-                        const std::string& what) {
-  EXPECT_EQ(a.ok, b.ok) << what;
-  EXPECT_EQ(a.originalText, b.originalText) << what;
-  EXPECT_EQ(a.transformedText, b.transformedText) << what;
-  EXPECT_EQ(a.hasEstimate, b.hasEstimate) << what;
-  EXPECT_EQ(a.cyclesWithLM, b.cyclesWithLM) << what;
-  EXPECT_EQ(a.cyclesWithoutLM, b.cyclesWithoutLM) << what;
-  EXPECT_EQ(a.normalized, b.normalized) << what;
-  EXPECT_EQ(a.outcome, b.outcome) << what;
-  EXPECT_EQ(a.proofOriginal, b.proofOriginal) << what;
-  EXPECT_EQ(a.proofTransformed, b.proofTransformed) << what;
-  EXPECT_EQ(a.proofNote, b.proofNote) << what;
-  EXPECT_EQ(a.proofVetoed, b.proofVetoed) << what;
-}
-
-Request estimateRequest(const std::string& app, const std::string& platform,
-                        bool prove = false) {
-  Request req;
-  req.appId = app;
-  req.platform = platform;
-  req.scale = apps::Scale::Test;
-  req.options.prove = prove;
-  return req;
 }
 
 TEST(ServiceMemo, SharedOriginalIsEstimatedOnce) {

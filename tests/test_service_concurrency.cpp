@@ -1,9 +1,14 @@
 // Single-flight deduplication under contention: many threads hammering a
 // small key set must trigger exactly one compilation per unique key, and
-// every waiter must observe identical module text.
+// every waiter must observe identical module text. A restarted service
+// racing auto and plain requests over filled disk tiers compiles nothing
+// and agrees with a sequential run.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -223,6 +228,104 @@ TEST(ServiceConcurrency, ConcurrentColdRequestsShareMemos) {
   EXPECT_EQ(s.compiles, keys.size()) << "single-flight must still hold";
   EXPECT_EQ(s.proofsRun + s.proofsReused, 2 * keys.size());
   EXPECT_EQ(s.proofsProved + s.proofsRefuted + s.proofsUnknown, s.proofsRun);
+}
+
+TEST(ServiceConcurrency, RestartedServiceAgreesUnderConcurrency) {
+  // Fill both disk tiers, then race compileAuto() and run() over the same
+  // keys on a fresh service: the auto probes and the plain requests may
+  // load one file at once, and every result must still equal the
+  // sequential one, with nothing compiled.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("grover_svc_restart_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  std::vector<Request> keys;
+  for (const std::string id : {"NVD-MM-A", "NVD-MM-B", "NVD-MM-AB"}) {
+    for (const std::string platform : {"SNB", "Fermi"}) {
+      Request r = appRequest(id);
+      r.platform = platform;
+      r.scale = apps::Scale::Test;
+      r.options.prove = true;
+      keys.push_back(r);
+    }
+  }
+  ServiceConfig config;
+  config.workers = 4;
+  config.cache.diskDir = (dir / "cache").string();
+  config.policyStore.diskDir = (dir / "policy").string();
+  std::vector<AutoResult> sequential;
+  {
+    CompileService fill(config);
+    for (const Request& r : keys) {
+      sequential.push_back(fill.compileAuto(r));
+      ASSERT_TRUE(sequential.back().artifact->ok);
+      ASSERT_TRUE(sequential.back().artifact->hasEstimate);
+    }
+  }
+
+  constexpr unsigned kThreads = 8;
+  CompileService service(config);
+  std::vector<std::vector<AutoResult>> autos(kThreads);
+  std::vector<std::vector<ArtifactPtr>> plains(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const Request& r = keys[(t + i) % keys.size()];
+        if ((t + i) % 2 == 0) {
+          autos[t].push_back(service.compileAuto(r));
+        } else {
+          plains[t].push_back(service.run(r));
+        }
+      }
+    });
+  }
+  go = true;
+  for (std::thread& th : threads) th.join();
+
+  const auto expectSame = [](const Artifact& a, const Artifact& want,
+                             const std::string& what) {
+    ASSERT_TRUE(a.ok) << what;
+    EXPECT_EQ(a.originalText, want.originalText) << what;
+    EXPECT_EQ(a.transformedText, want.transformedText) << what;
+    EXPECT_EQ(a.cyclesWithLM, want.cyclesWithLM) << what;
+    EXPECT_EQ(a.cyclesWithoutLM, want.cyclesWithoutLM) << what;
+    EXPECT_EQ(a.outcome, want.outcome) << what;
+    EXPECT_EQ(a.proofOriginal, want.proofOriginal) << what;
+    EXPECT_EQ(a.proofTransformed, want.proofTransformed) << what;
+    EXPECT_EQ(a.proofNote, want.proofNote) << what;
+    EXPECT_EQ(a.proofVetoed, want.proofVetoed) << what;
+    EXPECT_EQ(a.policyKey, want.policyKey) << what;
+  };
+  std::size_t autoCalls = 0;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    std::size_t a = 0, p = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const std::size_t k = (t + i) % keys.size();
+      const AutoResult& want = sequential[k];
+      const std::string what = keys[k].appId + " on " + keys[k].platform;
+      if ((t + i) % 2 == 0) {
+        const AutoResult& got = autos[t][a++];
+        ++autoCalls;
+        EXPECT_TRUE(got.policyHit) << what;
+        EXPECT_EQ(got.policyKey, want.policyKey) << what;
+        EXPECT_EQ(got.decision.variant, want.decision.variant) << what;
+        EXPECT_EQ(got.servedText(), want.servedText()) << what;
+        expectSame(*got.artifact, *want.artifact, what);
+      } else {
+        expectSame(*plains[t][p++], *want.artifact, what);
+      }
+    }
+  }
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.compiles, 0u);
+  EXPECT_EQ(s.policyHits, autoCalls);
+  EXPECT_EQ(s.policyMisses, 0u);
+  EXPECT_EQ(s.diskLoadFailures, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(ServiceConcurrency, BoundedQueueAppliesBackPressure) {

@@ -1,4 +1,4 @@
-// String helpers, diagnostics, thread pool.
+// String helpers, hashing, checksummed records, diagnostics, thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +7,7 @@
 #include "support/diagnostics.h"
 #include "support/flags.h"
 #include "support/hash.h"
+#include "support/record_file.h"
 #include "support/str.h"
 #include "support/thread_pool.h"
 
@@ -66,6 +67,53 @@ TEST(Hash, Hex64) {
   EXPECT_EQ(toHex64(0), "0000000000000000");
   EXPECT_EQ(toHex64(0xdeadbeefull), "00000000deadbeef");
   EXPECT_EQ(toHex64(~0ull), "ffffffffffffffff");
+}
+
+/// One record with every field kind, including a string with newlines.
+std::string sealedRecord() {
+  RecordWriter w("testrec 1", 0x2a);
+  w.num("count", -7);
+  w.bits("np", 2.252);
+  w.str("text", "two\nlines");
+  return std::move(w).seal();
+}
+
+TEST(RecordFile, SealedRecordOpensAndReadsBack) {
+  const std::string sealed = sealedRecord();
+  EXPECT_EQ(sealed.substr(sealed.size() - 21, 4), "sum ");
+  RecordReader r(sealed, "testrec 1", 0x2a, "test");
+  EXPECT_EQ(r.num("count"), -7);
+  EXPECT_EQ(r.bits("np"), 2.252);  // bit-exact
+  EXPECT_EQ(r.str("text"), "two\nlines");
+  EXPECT_NO_THROW(r.finish());
+}
+
+TEST(RecordFile, OpenRejectsAnyChangedByteAndAnyTruncation) {
+  const std::string sealed = sealedRecord();
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    std::string changed = sealed;
+    changed[i] = static_cast<char>(changed[i] ^ 0x01);
+    EXPECT_THROW(RecordReader(changed, "testrec 1", 0x2a, "test"), GroverError)
+        << "byte " << i;
+  }
+  for (std::size_t n = 0; n < sealed.size(); ++n) {
+    EXPECT_THROW(RecordReader(sealed.substr(0, n), "testrec 1", 0x2a, "test"),
+                 GroverError)
+        << "first " << n << " bytes";
+  }
+  // An intact record of another format or key does not open either.
+  EXPECT_THROW(RecordReader(sealed, "testrec 2", 0x2a, "test"), GroverError);
+  EXPECT_THROW(RecordReader(sealed, "testrec 1", 0x2b, "test"), GroverError);
+}
+
+TEST(RecordFile, FieldsAreReadStrictlyInOrder) {
+  RecordReader r(sealedRecord(), "testrec 1", 0x2a, "test");
+  EXPECT_THROW((void)r.num("np"), GroverError);  // the first field is count
+  RecordReader ranged(sealedRecord(), "testrec 1", 0x2a, "test");
+  EXPECT_THROW((void)ranged.num("count", 0, 10), GroverError);
+  RecordReader early(sealedRecord(), "testrec 1", 0x2a, "test");
+  (void)early.num("count");
+  EXPECT_THROW(early.finish(), GroverError);  // fields left unread
 }
 
 TEST(Diagnostics, CollectsAndCounts) {
