@@ -17,7 +17,6 @@
 #include "bench_common.h"
 #include "perf/cpu_model.h"
 #include "perf/estimator.h"
-#include "perf/gpu_model.h"
 #include "perf/traced_driver.h"
 #include "rt/ref_interpreter.h"
 
@@ -114,9 +113,9 @@ int main() {
     bool firstThread = true;
     for (unsigned t : threadCounts) {
       const Measurement m = measure(groups.size(), reps, [&] {
-        perf::CpuModel model(platform);
-        perf::runTracedLaunch(model, image, groups, t);
-        return model.totalCycles();
+        perf::TraceModel model = perf::makeTraceModel(platform);
+        perf::runTracedLaunch(std::span(&model, 1), image, groups, t);
+        return std::get<perf::CpuModel>(model).totalCycles();
       });
       if (m.cycles != seed.cycles) {
         std::cerr << "FATAL: " << id << " threads=" << t

@@ -6,8 +6,7 @@
 // directory, where each request compiles just the winning variant and
 // skips estimation entirely. Exits non-zero when verdict agreement drops
 // below 30/33, the warm phase fails to hit the store, or the cold phase
-// does not reuse exactly the 6 estimates its kernels share (the NVD-MM-B
-// and -AB originals print like NVD-MM-A's, on each of the 3 platforms).
+// does not reuse exactly the 24 estimates derived at kSharedEstimates.
 // Results land in BENCH_policy_auto.json.
 #include <unistd.h>
 
@@ -65,7 +64,17 @@ int main() {
 
   // --- cold phase: both variants compiled + estimated, decision stored.
   double coldMs = 0;
-  constexpr std::uint64_t kSharedEstimates = 6;
+  // Once a second platform asks for a kernel, one execution prices it on
+  // every platform the service has served. The pass runs app-major over
+  // SNB, Nehalem, MIC:
+  //  - the first app (AMD-SS) reuses nothing: when its Nehalem and MIC
+  //    requests price its kernels, no other platform is left to price;
+  //  - each later app's Nehalem request is the second platform to ask for
+  //    its kernels, so it prices both variants on Nehalem and MIC, and the
+  //    app's MIC request reuses 2 (10 × 2);
+  //  - NVD-MM-B and -AB also reuse NVD-MM-A's original, which prints
+  //    alike, on SNB and Nehalem (2 × 2).
+  constexpr std::uint64_t kSharedEstimates = 10 * 2 + 2 * 2;
   std::uint64_t coldEstimatesReused = 0;
   {
     service::ServiceConfig config;

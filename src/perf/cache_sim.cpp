@@ -23,12 +23,11 @@ CacheLevel::CacheLevel(const CacheLevelSpec& spec) : spec_(spec) {
     throw GroverError("cache size/ways mismatch");
   }
   num_sets_ = static_cast<unsigned>(lines / spec_.ways);
-  ways_.assign(std::size_t{num_sets_} * spec_.ways, Way{});
+  tags_.assign(std::size_t{num_sets_} * spec_.ways, kEmpty);
 }
 
 void CacheLevel::reset() {
-  for (Way& w : ways_) w = Way{};
-  tick_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
   hits_ = 0;
   misses_ = 0;
 }
@@ -36,63 +35,35 @@ void CacheLevel::reset() {
 bool CacheLevel::access(std::uint64_t address) {
   if (num_sets_ == 0) return false;
   const std::uint64_t line = address / spec_.lineSize;
-  const std::uint64_t set = line % num_sets_;
-  Way* begin = &ways_[set * spec_.ways];
-  ++tick_;
-  Way* victim = begin;
-  for (unsigned i = 0; i < spec_.ways; ++i) {
-    Way& w = begin[i];
-    if (w.tag == line) {
-      w.lru = tick_;
-      ++hits_;
-      return true;
-    }
-    if (w.lru < victim->lru) victim = &w;
+  std::uint64_t* set = &tags_[(line % num_sets_) * spec_.ways];
+  // Find the line, stopping at the first empty way: every way behind it
+  // is empty too.
+  unsigned pos = 0;
+  while (pos < spec_.ways && set[pos] != line && set[pos] != kEmpty) ++pos;
+  const bool hit = pos < spec_.ways && set[pos] == line;
+  if (hit) {
+    ++hits_;
+  } else {
+    ++misses_;
+    // Fill the first empty way, or drop the least recently used one.
+    pos = std::min(pos, spec_.ways - 1);
   }
-  ++misses_;
-  victim->tag = line;
-  victim->lru = tick_;
-  return false;
+  std::copy_backward(set, set + pos, set + pos + 1);
+  set[0] = line;
+  return hit;
 }
 
 bool CacheLevel::contains(std::uint64_t address) const {
   if (num_sets_ == 0) return false;
   const std::uint64_t line = address / spec_.lineSize;
-  const std::uint64_t set = line % num_sets_;
-  const Way* begin = &ways_[set * spec_.ways];
-  for (unsigned i = 0; i < spec_.ways; ++i) {
-    if (begin[i].tag == line) return true;
-  }
-  return false;
+  const std::uint64_t* set = &tags_[(line % num_sets_) * spec_.ways];
+  return std::find(set, set + spec_.ways, line) != set + spec_.ways;
 }
 
-CacheHierarchy::CacheHierarchy(const std::vector<CacheLevelSpec>& privateLevels,
-                               CacheLevel* sharedLLC, double memCycles)
-    : shared_llc_(sharedLLC), mem_cycles_(memCycles) {
+CacheHierarchy::CacheHierarchy(
+    const std::vector<CacheLevelSpec>& privateLevels) {
   levels_.reserve(privateLevels.size());
   for (const CacheLevelSpec& spec : privateLevels) levels_.emplace_back(spec);
-}
-
-double CacheHierarchy::accessLine(std::uint64_t address) {
-  for (CacheLevel& level : levels_) {
-    if (level.access(address)) return level.spec().hitCycles;
-  }
-  if (shared_llc_ != nullptr && shared_llc_->spec().bytes != 0) {
-    if (shared_llc_->access(address)) return shared_llc_->spec().hitCycles;
-  }
-  return mem_cycles_;
-}
-
-double CacheHierarchy::access(std::uint64_t address, std::uint32_t size) {
-  const unsigned lineSize =
-      levels_.empty() ? 64U : levels_.front().lineSize();
-  const std::uint64_t first = address / lineSize;
-  const std::uint64_t last = (address + (size == 0 ? 0 : size - 1)) / lineSize;
-  double worst = 0;
-  for (std::uint64_t line = first; line <= last; ++line) {
-    worst = std::max(worst, accessLine(line * lineSize));
-  }
-  return worst;
 }
 
 double CacheHierarchy::accessPrivate(std::uint64_t address, std::uint32_t size,

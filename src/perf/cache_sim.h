@@ -30,39 +30,36 @@ class CacheLevel {
   [[nodiscard]] const CacheLevelSpec& spec() const { return spec_; }
 
  private:
-  struct Way {
-    std::uint64_t tag = ~0ULL;
-    std::uint64_t lru = 0;
-  };
+  /// Tag of an empty way. Line numbers are addresses divided by the line
+  /// size, so none reaches it.
+  static constexpr std::uint64_t kEmpty = ~0ULL;
 
   CacheLevelSpec spec_;
   unsigned num_sets_ = 1;
-  std::vector<Way> ways_;  // num_sets_ × spec_.ways
-  std::uint64_t tick_ = 0;
+  /// num_sets_ × spec_.ways line numbers. Each set is ordered most
+  /// recently used first, with its empty ways at the back: a hit moves
+  /// its tag to the front, a miss shifts the set by one, dropping the
+  /// last way, the least recently used or an empty one.
+  std::vector<std::uint64_t> tags_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
 
-/// A private L1/L2 hierarchy with an optional shared last-level cache.
-/// access() returns the total latency in cycles for the access.
+/// The private L1[/L2] of one modeled hardware thread. The shared
+/// last-level cache belongs to the model that owns the hierarchies
+/// (CpuModel), which replays the lines that miss every private level.
 class CacheHierarchy {
  public:
-  CacheHierarchy(const std::vector<CacheLevelSpec>& privateLevels,
-                 CacheLevel* sharedLLC, double memCycles);
+  explicit CacheHierarchy(const std::vector<CacheLevelSpec>& privateLevels);
 
-  /// Simulate one access of `size` bytes (line-crossing accesses touch
-  /// every covered line; the worst line determines the latency).
-  double access(std::uint64_t address, std::uint32_t size);
-
-  /// Like access(), but touching only the private levels: every covered
+  /// Simulate one access of `size` bytes against the private levels
+  /// (line-crossing accesses touch every covered line). Every covered
   /// line that misses all of them is appended to `deferred` (line-aligned
-  /// addresses, in line order) instead of probing the shared LLC. The
-  /// returned latency covers the private hits only; the caller resolves
-  /// each deferred line against the LLC later and takes the max. Splitting
-  /// the access this way lets private-level simulation run concurrently
-  /// per shard while the shared LLC is replayed serially in group order —
-  /// max() over per-line latencies is insensitive to the split point, so
-  /// the combined latency is identical to a plain access() call.
+  /// addresses, in line order). The returned latency covers the private
+  /// hits only; the caller resolves each deferred line against the LLC
+  /// and takes the max, so the worst line determines the latency. Keeping
+  /// the LLC out lets private-level simulation run concurrently per shard
+  /// while the shared LLC is replayed serially in group order.
   double accessPrivate(std::uint64_t address, std::uint32_t size,
                        std::vector<std::uint64_t>& deferred);
 
@@ -71,11 +68,7 @@ class CacheHierarchy {
   }
 
  private:
-  double accessLine(std::uint64_t address);
-
   std::vector<CacheLevel> levels_;
-  CacheLevel* shared_llc_;  // may be null (MIC)
-  double mem_cycles_;
 };
 
 }  // namespace grover::perf

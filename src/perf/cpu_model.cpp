@@ -35,10 +35,6 @@ CpuModel::CpuModel(const PlatformSpec& spec) : spec_(spec) {
     shared_llc_ = std::make_unique<CacheLevel>(spec_.sharedLLC);
   }
   threads_.resize(spec_.hwThreads);
-  for (Thread& t : threads_) {
-    t.caches = std::make_unique<CacheHierarchy>(
-        spec_.privateLevels, shared_llc_.get(), spec_.memCycles);
-  }
 }
 
 CpuModel::GroupDigest CpuModel::digestGroup(unsigned shard,
@@ -47,7 +43,13 @@ CpuModel::GroupDigest CpuModel::digestGroup(unsigned shard,
   digest.tid = shard;
   digest.counters = trace.counters;
   digest.accesses.reserve(trace.accesses.size());
-  CacheHierarchy& caches = *threads_[shard].caches;
+  // A thread's private caches are built when it gets its first group: a
+  // sampled estimate may feed fewer groups than the platform has threads.
+  std::unique_ptr<CacheHierarchy>& owned = threads_[shard].caches;
+  if (owned == nullptr) {
+    owned = std::make_unique<CacheHierarchy>(spec_.privateLevels);
+  }
+  CacheHierarchy& caches = *owned;
   for (const rt::MemAccess& access : trace.accesses) {
     GroupDigest::Access rec;
     const std::size_t before = digest.deferredLines.size();
@@ -104,6 +106,7 @@ double CpuModel::l1HitRate() const {
   std::uint64_t hits = 0;
   std::uint64_t total = 0;
   for (const Thread& t : threads_) {
+    if (t.caches == nullptr) continue;  // got no group
     const auto& levels = t.caches->levels();
     if (levels.empty()) continue;
     hits += levels.front().hits();

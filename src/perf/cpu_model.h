@@ -30,7 +30,7 @@ class CpuModel {
  public:
   explicit CpuModel(const PlatformSpec& spec);
 
-  /// Private-cache replay digest of one work-group (phase A).
+  /// Private-cache replay digest of one work-group (phase B).
   struct GroupDigest {
     unsigned tid = 0;  // modeled hardware thread (= shard)
     /// Per access: worst private-level hit latency and how many of its
@@ -71,6 +71,7 @@ class CpuModel {
 
  private:
   struct Thread {
+    /// Built by the shard's first digestGroup; null until then.
     std::unique_ptr<CacheHierarchy> caches;
     double cycles = 0;
     double memCycles = 0;

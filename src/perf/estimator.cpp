@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "perf/cpu_model.h"
-#include "perf/gpu_model.h"
 #include "perf/traced_driver.h"
 
 namespace grover::perf {
@@ -13,30 +11,45 @@ PerfEstimate estimate(const PlatformSpec& platform, ir::Function& fn,
                       const rt::NDRange& range,
                       std::vector<rt::KernelArg> args,
                       std::uint32_t sampleStride, unsigned threads) {
+  return estimate(std::span(&platform, 1), fn, range, std::move(args),
+                  sampleStride, threads)
+      .front();
+}
+
+std::vector<PerfEstimate> estimate(std::span<const PlatformSpec> platforms,
+                                   ir::Function& fn, const rt::NDRange& range,
+                                   std::vector<rt::KernelArg> args,
+                                   std::uint32_t sampleStride,
+                                   unsigned threads) {
   rt::Launch launch(fn, range, std::move(args));
   if (sampleStride > 1) launch.setGroupSampling(sampleStride);
   if (threads == 0) {
     threads = std::max(1U, std::thread::hardware_concurrency());
   }
-  const auto groups = launch.sampledGroups();
-
-  PerfEstimate est;
-  if (platform.kind == PlatformKind::CpuCacheOnly) {
-    CpuModel model(platform);
-    runTracedLaunch(model, launch.image(), groups, threads);
-    est.cycles = model.totalCycles() * sampleStride;
-    est.counters = model.counters();
-    est.memoryCycles = model.memoryCycles();
-    est.l1HitRate = model.l1HitRate();
-  } else {
-    GpuModel model(platform);
-    runTracedLaunch(model, launch.image(), groups, threads);
-    est.cycles = model.totalCycles() * sampleStride;
-    est.counters = model.counters();
-    est.transactions = model.globalTransactions();
-    est.spmCycles = model.spmCyclesTotal();
+  std::vector<TraceModel> models;
+  models.reserve(platforms.size());
+  for (const PlatformSpec& platform : platforms) {
+    models.push_back(makeTraceModel(platform));
   }
-  return est;
+  runTracedLaunch(models, launch.image(), launch.sampledGroups(), threads);
+
+  std::vector<PerfEstimate> out(models.size());
+  for (std::size_t p = 0; p < models.size(); ++p) {
+    PerfEstimate& est = out[p];
+    if (const auto* cpu = std::get_if<CpuModel>(&models[p])) {
+      est.cycles = cpu->totalCycles() * sampleStride;
+      est.counters = cpu->counters();
+      est.memoryCycles = cpu->memoryCycles();
+      est.l1HitRate = cpu->l1HitRate();
+    } else {
+      const GpuModel& gpu = std::get<GpuModel>(models[p]);
+      est.cycles = gpu.totalCycles() * sampleStride;
+      est.counters = gpu.counters();
+      est.transactions = gpu.globalTransactions();
+      est.spmCycles = gpu.spmCyclesTotal();
+    }
+  }
+  return out;
 }
 
 double normalizedPerformance(double cyclesWithLM, double cyclesWithoutLM) {

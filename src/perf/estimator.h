@@ -5,6 +5,7 @@
 // cancels.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,14 @@ struct PerfEstimate {
                                     std::vector<rt::KernelArg> args,
                                     std::uint32_t sampleStride = 1,
                                     unsigned threads = 0);
+
+/// The estimates of `fn` on each of `platforms`, in the same order, from
+/// one execution: every platform's model prices the same group traces.
+/// Each estimate is bit-identical to the single-platform one.
+[[nodiscard]] std::vector<PerfEstimate> estimate(
+    std::span<const PlatformSpec> platforms, ir::Function& fn,
+    const rt::NDRange& range, std::vector<rt::KernelArg> args,
+    std::uint32_t sampleStride = 1, unsigned threads = 0);
 
 /// normalized performance of "without local memory" vs "with":
 /// np > 1 → disabling local memory is faster (paper Fig. 2/10 y-axis).

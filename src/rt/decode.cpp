@@ -171,7 +171,7 @@ DecodedKernel DecodedKernel::build(
             d = makeTrap("alloca outside the entry block is unsupported");
             break;
           }
-          PtrVal ptr;
+          PtrVal ptr{};
           ptr.space = alloca->space();
           ptr.offset = it->second;
           d.op = DOp::Alloca;

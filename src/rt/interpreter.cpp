@@ -34,7 +34,7 @@ KernelImage::KernelImage(ir::Function& fn, const NDRange& range,
         throw GroverError(cat("argument ", i, " is a buffer but parameter '",
                               param->name(), "' is not a pointer"));
       }
-      PtrVal ptr;
+      PtrVal ptr{};
       ptr.space = param->type()->addrSpace();
       ptr.base = static_cast<std::uint32_t>(buffers_.size());
       buffers_.push_back(std::get<Buffer*>(args[i].value));
@@ -170,11 +170,9 @@ RtValue readScalar(TypeKind kind, const std::byte* p) {
   }
 }
 
-/// In-place scalar writes to a value slot. RtValue is ~112 bytes; the hot
-/// loop runs one of these per instruction, so updating only the active
-/// payload (instead of constructing and copy-assigning a full RtValue)
-/// matters. Inactive fields keep stale bits — every consumer reads only
-/// the field selected by `kind`, so they are never observed.
+/// In-place scalar writes to a value slot. The hot loop runs one of these
+/// per instruction, so updating only the kind and the payload (instead of
+/// constructing and copy-assigning a full RtValue) matters.
 inline void setInt(RtValue& out, std::int64_t v) {
   out.kind = RtValue::Kind::Int;
   out.lanes = 1;
@@ -221,29 +219,39 @@ void readScalarInto(TypeKind kind, const std::byte* p, RtValue& out) {
   }
 }
 
-void writeScalar(TypeKind kind, std::byte* p, std::int64_t i, double f) {
+/// Store lane `lane` of `value` (the scalar payload when `vector` is
+/// false) as a `kind` scalar. Reads only the payload member `kind`
+/// selects: integers from `i`/`vi`, floats from `f`/`vf`.
+void writeScalar(TypeKind kind, std::byte* p, const RtValue& value,
+                 bool vector, unsigned lane) {
+  const auto asInt = [&] { return vector ? value.vi[lane] : value.i; };
+  const auto asFloat = [&] { return vector ? value.vf[lane] : value.f; };
   switch (kind) {
     case TypeKind::Bool: {
-      const std::uint8_t v = i != 0 ? 1 : 0;
+      const std::uint8_t v = asInt() != 0 ? 1 : 0;
       std::memcpy(p, &v, 1);
       return;
     }
     case TypeKind::Int32: {
-      const auto v = static_cast<std::int32_t>(i);
+      const auto v = static_cast<std::int32_t>(asInt());
       std::memcpy(p, &v, 4);
       return;
     }
-    case TypeKind::Int64:
-      std::memcpy(p, &i, 8);
+    case TypeKind::Int64: {
+      const std::int64_t v = asInt();
+      std::memcpy(p, &v, 8);
       return;
+    }
     case TypeKind::Float: {
-      const auto v = static_cast<float>(f);
+      const auto v = static_cast<float>(asFloat());
       std::memcpy(p, &v, 4);
       return;
     }
-    case TypeKind::Double:
-      std::memcpy(p, &f, 8);
+    case TypeKind::Double: {
+      const double v = asFloat();
+      std::memcpy(p, &v, 8);
       return;
+    }
     default:
       throw GroverError("store of unsupported type");
   }
@@ -431,12 +439,11 @@ void GroupExecutor::execStore(WorkItem& wi, const DInst& d, const PtrVal& ptr,
                                 group_linear_, wi.linear, d.instSlot});
   }
   if (d.lanes == 0) {
-    writeScalar(d.tkind, mem, value.i, value.f);
+    writeScalar(d.tkind, mem, value, false, 0);
     return;
   }
   for (unsigned lane = 0; lane < d.lanes; ++lane) {
-    writeScalar(d.tkind, mem + lane * d.elemSize, value.vi[lane],
-                value.vf[lane]);
+    writeScalar(d.tkind, mem + lane * d.elemSize, value, true, lane);
   }
 }
 
@@ -863,8 +870,6 @@ InstCounters Launch::run(unsigned threads) {
   threads = threads == 0 ? hw : std::min(threads, hw);
   const auto groups = sampledGroups();
 
-  if (sink_ != nullptr) return runTraced(groups, threads);
-
   if (threads <= 1) {
     GroupExecutor exec(image_);
     for (const auto& g : groups) exec.runGroup(g);
@@ -893,64 +898,6 @@ InstCounters Launch::run(unsigned threads) {
   }
   executeLoop(0);
   pool.waitIdle();
-  InstCounters total;
-  for (const auto& e : execs) total += e->totalCounters();
-  return total;
-}
-
-InstCounters Launch::runTraced(
-    const std::vector<std::array<std::uint32_t, 3>>& groups,
-    unsigned threads) {
-  if (threads <= 1) {
-    GroupExecutor exec(image_);
-    GroupTrace trace;
-    exec.setTrace(&trace);
-    for (const auto& g : groups) {
-      exec.runGroup(g);
-      trace.replay(*sink_);
-    }
-    return exec.totalCounters();
-  }
-
-  // Waves: execute a bounded batch of groups in parallel — each into its
-  // own trace buffer — then replay the batch into the sink serially in
-  // dense order. The sink observes the exact serial event sequence.
-  std::vector<std::unique_ptr<GroupExecutor>> execs;
-  execs.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    execs.push_back(std::make_unique<GroupExecutor>(image_));
-  }
-  ThreadPool pool(threads - 1);
-  std::vector<GroupTrace> traces;
-  std::size_t done = 0;
-  std::size_t avgBytes = 0;
-  while (done < groups.size()) {
-    const std::size_t wave =
-        nextTraceWave(groups.size() - done, threads, avgBytes);
-    if (traces.size() < wave) traces.resize(wave);
-    std::atomic<std::size_t> next{0};
-    const auto executeLoop = [&](unsigned t) {
-      GroupExecutor& exec = *execs[t];
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= wave) return;
-        exec.setTrace(&traces[i]);
-        exec.runGroup(groups[done + i]);
-      }
-    };
-    for (unsigned t = 1; t < threads; ++t) {
-      pool.submit([&executeLoop, t] { executeLoop(t); });
-    }
-    executeLoop(0);
-    pool.waitIdle();
-    std::size_t bytes = 0;
-    for (std::size_t i = 0; i < wave; ++i) {
-      traces[i].replay(*sink_);
-      bytes += traces[i].byteSize();
-    }
-    avgBytes = bytes / wave;
-    done += wave;
-  }
   InstCounters total;
   for (const auto& e : execs) total += e->totalCounters();
   return total;

@@ -152,16 +152,12 @@ class GroupExecutor {
 };
 
 /// Top-level launch driver: executes every group, optionally multithreaded
-/// or on a sampled subset of groups. With a trace sink attached, groups
-/// still execute in parallel — each into its own GroupTrace buffer — and
-/// the buffered events are replayed into the sink serially in dense group
-/// order, so the sink observes the exact event sequence of a serial run no
-/// matter how many threads executed.
+/// or on a sampled subset of groups. Traced execution goes through
+/// GroupExecutor and GroupTrace (perf/traced_driver.h).
 class Launch {
  public:
   Launch(ir::Function& fn, const NDRange& range, std::vector<KernelArg> args);
 
-  void setTraceSink(TraceSink* sink) { sink_ = sink; }
   /// Execute only every `stride`-th group (trace-based perf sampling).
   void setGroupSampling(std::uint32_t stride) { sample_stride_ = stride; }
 
@@ -175,12 +171,7 @@ class Launch {
       const;
 
  private:
-  InstCounters runTraced(
-      const std::vector<std::array<std::uint32_t, 3>>& groups,
-      unsigned threads);
-
   KernelImage image_;
-  TraceSink* sink_ = nullptr;
   std::uint32_t sample_stride_ = 1;
 };
 

@@ -277,42 +277,50 @@ void ReferenceExecutor::storeTo(WorkItem& wi, const PtrVal& ptr,
     sink_->onAccess({ptr.space, traceAddr, static_cast<std::uint32_t>(size),
                      true, group_linear_, wi.linear, instSlot});
   }
-  auto writeScalar = [&](const ir::Type* t, std::byte* p, std::int64_t i,
-                         double f) {
+  // Store lane `lane` of `value` (the scalar payload when `vector` is
+  // false), reading only the payload member the type selects.
+  auto writeScalar = [&](const ir::Type* t, std::byte* p, bool vector,
+                         unsigned lane) {
+    const auto asInt = [&] { return vector ? value.vi[lane] : value.i; };
+    const auto asFloat = [&] { return vector ? value.vf[lane] : value.f; };
     switch (t->kind()) {
       case TypeKind::Bool: {
-        const std::uint8_t v = i != 0 ? 1 : 0;
+        const std::uint8_t v = asInt() != 0 ? 1 : 0;
         std::memcpy(p, &v, 1);
         return;
       }
       case TypeKind::Int32: {
-        const auto v = static_cast<std::int32_t>(i);
+        const auto v = static_cast<std::int32_t>(asInt());
         std::memcpy(p, &v, 4);
         return;
       }
-      case TypeKind::Int64:
-        std::memcpy(p, &i, 8);
+      case TypeKind::Int64: {
+        const std::int64_t v = asInt();
+        std::memcpy(p, &v, 8);
         return;
+      }
       case TypeKind::Float: {
-        const auto v = static_cast<float>(f);
+        const auto v = static_cast<float>(asFloat());
         std::memcpy(p, &v, 4);
         return;
       }
-      case TypeKind::Double:
-        std::memcpy(p, &f, 8);
+      case TypeKind::Double: {
+        const double v = asFloat();
+        std::memcpy(p, &v, 8);
         return;
+      }
       default:
         throw GroverError("store of unsupported type " + t->str());
     }
   };
   if (!type->isVector()) {
-    writeScalar(type, mem, value.i, value.f);
+    writeScalar(type, mem, false, 0);
     return;
   }
   const Type* elem = type->element();
   const std::uint64_t elemSize = elem->sizeInBytes();
   for (unsigned lane = 0; lane < type->lanes(); ++lane) {
-    writeScalar(elem, mem + lane * elemSize, value.vi[lane], value.vf[lane]);
+    writeScalar(elem, mem + lane * elemSize, true, lane);
   }
 }
 
@@ -557,7 +565,7 @@ void ReferenceExecutor::exec(WorkItem& wi, const ir::Instruction* inst) {
   switch (inst->kind()) {
     case ValueKind::InstAlloca: {
       const auto* alloca = cast<AllocaInst>(inst);
-      PtrVal ptr;
+      PtrVal ptr{};
       ptr.space = alloca->space();
       ptr.offset = image_.allocaOffset(alloca);
       slot(wi, inst) = RtValue::ofPtr(ptr);

@@ -1,5 +1,6 @@
 #include "service/compile_service.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -566,6 +567,19 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
                                             const CancelScope* cancel) {
   bump(&Counters::compiles);
   auto artifact = std::make_shared<Artifact>();
+  if (!resolved.platform.empty()) {
+    // The request's platform joins the served set: from now on, an
+    // estimate of a kernel that two platforms have asked for prices it
+    // too (the estimate memo below).
+    perf::PlatformSpec spec = *perf::findPlatform(resolved.platform);
+    std::lock_guard lock(mutex_);
+    if (std::none_of(served_platforms_.begin(), served_platforms_.end(),
+                     [&](const perf::PlatformSpec& p) {
+                       return p.name == spec.name;
+                     })) {
+      served_platforms_.push_back(std::move(spec));
+    }
+  }
   // Stage-boundary cancellation poll: cheap enough to sit between every
   // stage, coarse enough that a stage never observes a torn abort.
   const auto checkCancelled = [cancel] {
@@ -704,32 +718,57 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
     std::optional<apps::Instance> fresh = app.makeInstance(resolved.scale);
     const std::uint64_t instanceKey = instanceFingerprint(*fresh);
     const std::uint32_t stride = fresh->benchSampleStride;
+    // A memo miss prices (kernel, spec) and, once another platform has
+    // asked for this kernel (its estimate there is memoized), every served
+    // platform without an estimate of it, with one execution.
     const auto cycles = [&](const std::string& moduleText,
                             ir::Function& kernel) {
-      Fnv1a h;
-      h.update(std::string_view("groverc-estimate-key-v1"));
-      h.update(std::string_view(moduleText));
-      h.update(std::string_view(resolved.kernelName));
-      h.update(std::string_view(spec.name));
-      h.update(std::uint64_t{stride});
-      h.update(instanceKey);
-      const std::uint64_t key = h.digest();
+      Fnv1a prefix;
+      prefix.update(std::string_view("groverc-estimate-key-v1"));
+      prefix.update(std::string_view(moduleText));
+      prefix.update(std::string_view(resolved.kernelName));
+      const auto keyOn = [&](const std::string& platform) {
+        Fnv1a h = prefix;
+        h.update(std::string_view(platform));
+        h.update(std::uint64_t{stride});
+        h.update(instanceKey);
+        return h.digest();
+      };
+      std::vector<perf::PlatformSpec> platforms{spec};
+      std::vector<std::uint64_t> keys{keyOn(spec.name)};
       {
         std::lock_guard lock(mutex_);
-        if (const auto it = estimates_.find(key); it != estimates_.end()) {
+        if (const auto it = estimates_.find(keys[0]);
+            it != estimates_.end()) {
           bump(&Counters::estimatesReused);
           return it->second;
         }
+        bool askedElsewhere = false;
+        for (const perf::PlatformSpec& served : served_platforms_) {
+          if (served.name == spec.name) continue;
+          const std::uint64_t key = keyOn(served.name);
+          if (estimates_.contains(key)) {
+            askedElsewhere = true;
+          } else {
+            platforms.push_back(served);
+            keys.push_back(key);
+          }
+        }
+        if (!askedElsewhere) {
+          platforms.resize(1);
+          keys.resize(1);
+        }
       }
       if (!fresh) fresh = app.makeInstance(resolved.scale);
-      const double result =
-          perf::estimate(spec, kernel, fresh->range, fresh->args, stride,
-                         config_.estimateThreads)
-              .cycles;
+      const std::vector<perf::PerfEstimate> results =
+          perf::estimate(platforms, kernel, fresh->range, fresh->args,
+                         stride, config_.estimateThreads);
       fresh.reset();  // the run wrote to its buffers
       std::lock_guard lock(mutex_);
-      estimates_.try_emplace(key, result);
-      return result;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        estimates_.try_emplace(keys[i], results[i].cycles);
+      }
+      return results.front().cycles;
     };
     const double with = cycles(artifact->originalText,
                                *original.kernel(resolved.kernelName));

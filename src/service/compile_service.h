@@ -14,8 +14,10 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "perf/measure.h"
+#include "perf/platform.h"
 #include "policy/decision_engine.h"
 #include "policy/feedback.h"
 #include "policy/policy_store.h"
@@ -392,6 +394,16 @@ class CompileService {
   /// into another's.
   std::unordered_map<std::uint64_t, Proof> proofs_;
   std::unordered_map<std::uint64_t, double> estimates_;
+  /// The platforms this service serves: each joins when compileUncached()
+  /// starts a request that names it (guarded by mutex_). resolve()
+  /// canonicalizes the name, so it holds at most the six platforms of
+  /// perf::allPlatforms(). A memo miss for (kernel, P) whose kernel
+  /// another platform has asked for (its estimate there is memoized)
+  /// prices P and every served platform without an estimate of the
+  /// kernel with one execution (perf::estimate over a list of platforms);
+  /// a kernel only one platform has asked for is priced on that platform
+  /// alone. Two compiles that miss at once each execute (DESIGN.md §8).
+  std::vector<perf::PlatformSpec> served_platforms_;
 
   /// Background measurement queue (ServiceConfig::measureQueueDepth):
   /// sampled requests enqueue here and a dedicated low-priority thread

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 namespace grover::perf {
@@ -80,32 +84,145 @@ TEST(CacheLevel, SequentialLinesDoNotThrash) {
   for (int r = 0; r < 16; ++r) EXPECT_TRUE(cache.access(r * 64));
 }
 
+/// The latency of one access through `hier` and then `llc` (null: no
+/// LLC), resolved the way CpuModel does: the worst of the private hits and
+/// of each private-miss line's LLC hit or memory latency.
+double accessThrough(CacheHierarchy& hier, CacheLevel* llc, double memCycles,
+                     std::uint64_t address, std::uint32_t size) {
+  std::vector<std::uint64_t> deferred;
+  double worst = hier.accessPrivate(address, size, deferred);
+  for (const std::uint64_t line : deferred) {
+    const bool llcHit = llc != nullptr && llc->access(line);
+    worst = std::max(worst, llcHit ? llc->spec().hitCycles : memCycles);
+  }
+  return worst;
+}
+
 TEST(CacheHierarchy, LatencyByHitLevel) {
   std::vector<CacheLevelSpec> levels{{1024, 2, 64, 4}, {4096, 4, 64, 12}};
   CacheLevel llc({16384, 8, 64, 30});
-  CacheHierarchy hier(levels, &llc, 200);
-  EXPECT_DOUBLE_EQ(hier.access(0, 4), 200);  // cold: DRAM
-  EXPECT_DOUBLE_EQ(hier.access(0, 4), 4);    // L1 hit
+  CacheHierarchy hier(levels);
+  const auto access = [&](std::uint64_t address) {
+    return accessThrough(hier, &llc, 200, address, 4);
+  };
+  EXPECT_DOUBLE_EQ(access(0), 200);  // cold: DRAM
+  EXPECT_DOUBLE_EQ(access(0), 4);    // L1 hit
   // Evict from tiny L1 by touching other set-0 lines, then L2 hit.
-  hier.access(512, 4);
-  hier.access(1024, 4);
-  EXPECT_DOUBLE_EQ(hier.access(0, 4), 12);
+  access(512);
+  access(1024);
+  EXPECT_DOUBLE_EQ(access(0), 12);
 }
 
 TEST(CacheHierarchy, NoLlcFallsToMemory) {
   std::vector<CacheLevelSpec> levels{{1024, 2, 64, 4}};
-  CacheHierarchy hier(levels, nullptr, 300);
-  EXPECT_DOUBLE_EQ(hier.access(0, 4), 300);
-  EXPECT_DOUBLE_EQ(hier.access(0, 4), 4);
+  CacheHierarchy hier(levels);
+  EXPECT_DOUBLE_EQ(accessThrough(hier, nullptr, 300, 0, 4), 300);
+  EXPECT_DOUBLE_EQ(accessThrough(hier, nullptr, 300, 0, 4), 4);
 }
 
 TEST(CacheHierarchy, LineCrossingAccessTakesWorstLine) {
   std::vector<CacheLevelSpec> levels{{1024, 2, 64, 4}};
-  CacheHierarchy hier(levels, nullptr, 300);
-  hier.access(0, 4);           // warm line 0
+  CacheHierarchy hier(levels);
+  accessThrough(hier, nullptr, 300, 0, 4);  // warm line 0
   // Access straddling lines 0 and 1: line 1 cold → DRAM latency.
-  EXPECT_DOUBLE_EQ(hier.access(60, 8), 300);
-  EXPECT_DOUBLE_EQ(hier.access(60, 8), 4);  // both warm now
+  EXPECT_DOUBLE_EQ(accessThrough(hier, nullptr, 300, 60, 8), 300);
+  EXPECT_DOUBLE_EQ(accessThrough(hier, nullptr, 300, 60, 8), 4);  // warm
+}
+
+/// The tick LRU the tag-only recency order replaced: every way keeps a
+/// tag and the tick of its last access, and a miss fills the first way
+/// with the smallest tick (an empty way's is 0).
+class TickLru {
+ public:
+  explicit TickLru(const CacheLevelSpec& spec)
+      : spec_(spec),
+        sets_(spec.bytes / spec.lineSize / spec.ways),
+        ways_(spec.bytes / spec.lineSize) {}
+
+  bool access(std::uint64_t address) {
+    const std::uint64_t line = address / spec_.lineSize;
+    Way* set = &ways_[(line % sets_) * spec_.ways];
+    ++tick_;
+    Way* victim = set;
+    for (unsigned i = 0; i < spec_.ways; ++i) {
+      if (set[i].tag == line) {
+        set[i].lru = tick_;
+        ++hits_;
+        return true;
+      }
+      if (set[i].lru < victim->lru) victim = &set[i];
+    }
+    ++misses_;
+    victim->tag = line;
+    victim->lru = tick_;
+    return false;
+  }
+  bool contains(std::uint64_t address) const {
+    const std::uint64_t line = address / spec_.lineSize;
+    const Way* set = &ways_[(line % sets_) * spec_.ways];
+    for (unsigned i = 0; i < spec_.ways; ++i) {
+      if (set[i].tag == line) return true;
+    }
+    return false;
+  }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = ~0ULL;
+    std::uint64_t lru = 0;
+  };
+  CacheLevelSpec spec_;
+  std::uint64_t sets_;
+  std::vector<Way> ways_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+TEST(CacheLevel, MatchesTickLruReference) {
+  // 1-, 2-, 8- and 16-way geometries (one of them with a set count that is
+  // not a power of two), fed seeded address streams that mix reuse of a
+  // small working set, set-conflicting strides and cold lines.
+  const CacheLevelSpec specs[] = {{2048, 1, 64, 4},
+                                  {4096, 2, 64, 4},
+                                  {32 * 1024, 8, 64, 4},
+                                  {24 * 1024, 16, 64, 4}};
+  for (const CacheLevelSpec& spec : specs) {
+    for (const std::uint32_t seed : {1U, 2U, 3U}) {
+      CacheLevel cache(spec);
+      TickLru reference(spec);
+      std::mt19937_64 rng(seed);
+      const std::uint64_t span = spec.bytes / spec.ways;  // one way's bytes
+      for (int n = 0; n < 20000; ++n) {
+        std::uint64_t address = 0;
+        switch (rng() % 3) {
+          case 0:  // working set of 1.5 × capacity
+            address = rng() % (spec.bytes + spec.bytes / 2);
+            break;
+          case 1:  // lines that all land in a few sets
+            address = (rng() % 4) * 64 + (rng() % (3 * spec.ways)) * span;
+            break;
+          default:  // anywhere
+            address = rng() % (std::uint64_t{1} << 40);
+            break;
+        }
+        const std::string what = std::to_string(spec.ways) + "-way, seed " +
+                                 std::to_string(seed) + ", access " +
+                                 std::to_string(n);
+        ASSERT_EQ(cache.access(address), reference.access(address)) << what;
+        const std::uint64_t probe = rng() % (spec.bytes * 2);
+        ASSERT_EQ(cache.contains(probe), reference.contains(probe)) << what;
+        ASSERT_EQ(cache.contains(address), reference.contains(address))
+            << what;
+      }
+      EXPECT_EQ(cache.hits(), reference.hits());
+      EXPECT_EQ(cache.misses(), reference.misses());
+      EXPECT_GT(cache.hits(), 0u);
+      EXPECT_GT(cache.misses(), 0u);
+    }
+  }
 }
 
 // Property: hits + misses == accesses, and a repeat pass over a working

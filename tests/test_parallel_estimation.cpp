@@ -3,7 +3,8 @@
 // return bit-identical cycles for every thread count (the determinism
 // guarantee of perf/traced_driver.h), on applications covering the
 // paper's Table I pattern classes. Every test-scale Table I estimate is
-// also pinned bit for bit against a table.
+// also pinned bit for bit against a table, both from single-platform
+// estimates and from one execution priced on all six platforms.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -91,17 +92,25 @@ TEST(ParallelEstimation, DecodedMatchesReferenceExecutor) {
     std::string message;
     EXPECT_TRUE(refInstance.validate(message)) << id << ": " << message;
 
-    // Decoded: parallel traced launch replaying buffered GroupTraces.
+    // Decoded: each sampled group executed into a GroupTrace in dense
+    // order, and the buffered events replayed into the sink.
     Program decProgram = compile(app.source());
     apps::Instance decInstance = app.makeInstance(apps::Scale::Test);
     rt::Launch decLaunch(*compiledKernel(decProgram, app), decInstance.range,
                          decInstance.args);
     RecordingSink decSink;
-    decLaunch.setTraceSink(&decSink);
-    const rt::InstCounters counters = decLaunch.run(4);
+    rt::GroupExecutor decExec(decLaunch.image());
+    rt::GroupTrace trace;
+    decExec.setTrace(&trace);
+    for (const auto& g : decLaunch.sampledGroups()) {
+      decExec.runGroup(g);
+      trace.replay(decSink);
+    }
     EXPECT_TRUE(decInstance.validate(message)) << id << ": " << message;
 
-    EXPECT_EQ(counters.total(), refExec.totalCounters().total()) << id;
+    EXPECT_EQ(decExec.totalCounters().total(),
+              refExec.totalCounters().total())
+        << id;
     ASSERT_EQ(decSink.events.size(), refSink.events.size()) << id;
     EXPECT_TRUE(decSink.events == refSink.events)
         << id << ": trace event streams diverge";
@@ -347,11 +356,27 @@ const PinnedEstimate kPinnedEstimates[] = {
     {"ROD-SC", "MIC", true, 0x40f9f8accccccccd, 0, 0x0000000000000000, 0x4119052000000000, 0x3f7f07c1f07c1f08, 273664},
 };
 
+/// kPinnedEstimates rendered as formatPinned rows.
+std::string pinnedTable() {
+  std::string table;
+  for (const PinnedEstimate& row : kPinnedEstimates) table += formatPinned(row);
+  return table;
+}
+
+/// One table row of `est`, the estimate of `app` on `platform`.
+std::string pinnedRow(const apps::Application& app,
+                      const perf::PlatformSpec& platform, bool transformed,
+                      const perf::PerfEstimate& est) {
+  return formatPinned({app.id().c_str(), platform.name.c_str(), transformed,
+                       std::bit_cast<std::uint64_t>(est.cycles),
+                       est.transactions,
+                       std::bit_cast<std::uint64_t>(est.spmCycles),
+                       std::bit_cast<std::uint64_t>(est.memoryCycles),
+                       std::bit_cast<std::uint64_t>(est.l1HitRate),
+                       est.counters.total()});
+}
+
 TEST(ParallelEstimation, EveryTableIEstimateMatchesThePinnedTable) {
-  std::string expected;
-  for (const PinnedEstimate& row : kPinnedEstimates) {
-    expected += formatPinned(row);
-  }
   std::string actual;
   for (const auto& app : apps::allApplications()) {
     KernelPair pair = prepareKernelPair(*app);
@@ -362,19 +387,45 @@ TEST(ParallelEstimation, EveryTableIEstimateMatchesThePinnedTable) {
             platform,
             transformed ? *pair.transformedKernel : *pair.originalKernel,
             instance.range, instance.args, instance.benchSampleStride, 0);
-        actual += formatPinned(
-            {app->id().c_str(), platform.name.c_str(), transformed,
-             std::bit_cast<std::uint64_t>(est.cycles), est.transactions,
-             std::bit_cast<std::uint64_t>(est.spmCycles),
-             std::bit_cast<std::uint64_t>(est.memoryCycles),
-             std::bit_cast<std::uint64_t>(est.l1HitRate),
-             est.counters.total()});
+        actual += pinnedRow(*app, platform, transformed, est);
       }
     }
   }
-  EXPECT_TRUE(actual == expected)
+  EXPECT_TRUE(actual == pinnedTable())
       << "estimates moved; the actual table is:\n"
       << actual;
+}
+
+TEST(ParallelEstimation, OneExecutionPricesEveryPlatform) {
+  // One execution per kernel version, priced by all six platform models at
+  // once, must rebuild the pinned table bit for bit at any thread count.
+  const std::vector<perf::PlatformSpec> platforms = perf::allPlatforms();
+  for (const unsigned threads : {1U, 4U}) {
+    std::string actual;
+    for (const auto& app : apps::allApplications()) {
+      KernelPair pair = prepareKernelPair(*app);
+      std::vector<perf::PerfEstimate> byVariant[2];
+      for (const bool transformed : {false, true}) {
+        apps::Instance instance = app->makeInstance(apps::Scale::Test);
+        byVariant[transformed] = perf::estimate(
+            platforms,
+            transformed ? *pair.transformedKernel : *pair.originalKernel,
+            instance.range, instance.args, instance.benchSampleStride,
+            threads);
+        ASSERT_EQ(byVariant[transformed].size(), platforms.size());
+      }
+      for (std::size_t p = 0; p < platforms.size(); ++p) {
+        for (const bool transformed : {false, true}) {
+          actual += pinnedRow(*app, platforms[p], transformed,
+                              byVariant[transformed][p]);
+        }
+      }
+    }
+    EXPECT_TRUE(actual == pinnedTable())
+        << "threads=" << threads << ": the six-platform estimates differ "
+        << "from the pinned table; they are:\n"
+        << actual;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // caching of compile failures, the on-disk tier (hit, corruption
 // fallback, the store-time parse check, a restarted service answering
 // auto requests from disk), bit-identity of cached estimates with the
-// uncached Harness path, and the proof and estimate memos of cold
-// compiles.
+// uncached Harness path, the proof and estimate memos of cold compiles,
+// and which served platforms one estimate's execution prices.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "grovercl/harness.h"
+#include "perf/platform.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
 #include "support/hash.h"
@@ -452,6 +453,66 @@ TEST(ServiceMemo, SharedOriginalIsEstimatedOnce) {
     EXPECT_EQ(fresh.stats().estimatesReused, 0u) << apps[i];
     expectSameArtifact(*served[i], *alone, apps[i]);
   }
+}
+
+TEST(ServiceMemo, ServedPlatformsShareOneExecution) {
+  // AMD-MT on all six platforms puts every platform in the served set.
+  // NVD-MT's SNB request prices its kernels on SNB alone; its Nehalem
+  // request, the second platform to ask for them, prices both on the five
+  // remaining platforms with one execution each, and the other four
+  // NVD-MT requests reuse them.
+  CompileService service(ServiceConfig{});
+  std::vector<std::pair<Request, ArtifactPtr>> served;
+  for (const char* app : {"AMD-MT", "NVD-MT"}) {
+    const std::uint64_t before = service.stats().estimatesReused;
+    for (const perf::PlatformSpec& platform : perf::allPlatforms()) {
+      const Request req = estimateRequest(app, platform.name);
+      served.emplace_back(req, service.run(req));
+      ASSERT_TRUE(served.back().second->hasEstimate) << app;
+    }
+    const std::uint64_t reused = service.stats().estimatesReused - before;
+    EXPECT_EQ(reused, std::string(app) == "AMD-MT" ? 0u : 8u) << app;
+  }
+  EXPECT_EQ(service.stats().compiles, 12u);
+
+  for (const auto& [req, artifact] : served) {
+    CompileService fresh(ServiceConfig{});
+    expectSameArtifact(*artifact, *fresh.run(req),
+                       req.appId + " on " + req.platform);
+  }
+}
+
+/// The estimates `service` reuses for `app` on `platform`.
+std::uint64_t reusedBy(CompileService& service, const char* app,
+                       const char* platform) {
+  const std::uint64_t before = service.stats().estimatesReused;
+  const ArtifactPtr a = service.run(estimateRequest(app, platform));
+  EXPECT_TRUE(a->hasEstimate) << app << " on " << platform;
+  return service.stats().estimatesReused - before;
+}
+
+TEST(ServiceMemo, UnservedPlatformIsNotPriced) {
+  // NVD-MT's Nehalem request is the second platform to ask for its
+  // kernels, but Fermi has not been served yet, so it prices Nehalem
+  // alone and the Fermi request estimates anew. Once Fermi is served,
+  // AMD-MT's Nehalem request prices Fermi too.
+  CompileService service(ServiceConfig{});
+  EXPECT_EQ(reusedBy(service, "NVD-MT", "SNB"), 0u);
+  EXPECT_EQ(reusedBy(service, "NVD-MT", "Nehalem"), 0u);
+  EXPECT_EQ(reusedBy(service, "NVD-MT", "Fermi"), 0u);
+  EXPECT_EQ(reusedBy(service, "AMD-MT", "SNB"), 0u);
+  EXPECT_EQ(reusedBy(service, "AMD-MT", "Nehalem"), 0u);
+  EXPECT_EQ(reusedBy(service, "AMD-MT", "Fermi"), 2u);
+}
+
+TEST(ServiceMemo, KernelAskedForOnOnePlatformIsPricedThereAlone) {
+  // Both platforms are served when NVD-MT's Fermi request prices its
+  // kernels, but no other platform has asked for them, so it prices Fermi
+  // alone: the later SNB request estimates anew.
+  CompileService service(ServiceConfig{});
+  EXPECT_EQ(reusedBy(service, "AMD-MT", "SNB"), 0u);
+  EXPECT_EQ(reusedBy(service, "NVD-MT", "Fermi"), 0u);
+  EXPECT_EQ(reusedBy(service, "NVD-MT", "SNB"), 0u);
 }
 
 TEST(ServiceMemo, ProofsArePlatformIndependent) {

@@ -1,8 +1,9 @@
 // Single-flight deduplication under contention: many threads hammering a
 // small key set must trigger exactly one compilation per unique key, and
-// every waiter must observe identical module text. A restarted service
-// racing auto and plain requests over filled disk tiers compiles nothing
-// and agrees with a sequential run.
+// every waiter must observe identical module text. Requests for one
+// kernel on every platform, compiling at once, agree with a sequential
+// run. A restarted service racing auto and plain requests over filled
+// disk tiers compiles nothing and agrees with a sequential run.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "perf/platform.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
 
@@ -228,6 +230,69 @@ TEST(ServiceConcurrency, ConcurrentColdRequestsShareMemos) {
   EXPECT_EQ(s.compiles, keys.size()) << "single-flight must still hold";
   EXPECT_EQ(s.proofsRun + s.proofsReused, 2 * keys.size());
   EXPECT_EQ(s.proofsProved + s.proofsRefuted + s.proofsUnknown, s.proofsRun);
+}
+
+TEST(ServiceConcurrency, ConcurrentPlatformsMatchASequentialRun) {
+  // Every platform is served after the AMD-MT requests. Six NVD-MT
+  // requests, one per platform, then compile at once: each may execute
+  // its kernels itself or reuse what another has published, and every
+  // answer equals a sequential run's. Each kernel's first execution
+  // prices one platform, so at most 4 of its 6 estimates are reused.
+  std::vector<Request> keys;
+  for (const perf::PlatformSpec& platform : perf::allPlatforms()) {
+    Request r = appRequest("NVD-MT");
+    r.platform = platform.name;
+    r.scale = apps::Scale::Test;
+    r.options.prove = true;
+    keys.push_back(r);
+  }
+  std::vector<ArtifactPtr> sequential;
+  {
+    CompileService service(ServiceConfig{});
+    for (const Request& r : keys) sequential.push_back(service.run(r));
+  }
+
+  ServiceConfig config;
+  config.workers = keys.size();
+  CompileService service(config);
+  for (const Request& r : keys) {
+    Request amd = r;
+    amd.appId = "AMD-MT";
+    ASSERT_TRUE(service.run(amd)->ok);
+  }
+  const std::uint64_t before = service.stats().estimatesReused;
+
+  std::vector<ArtifactPtr> seen(keys.size());
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  threads.reserve(keys.size());
+  for (std::size_t t = 0; t < keys.size(); ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      seen[t] = service.run(keys[t]);
+    });
+  }
+  go = true;
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_LE(service.stats().estimatesReused - before, 2u * 4u);
+  EXPECT_EQ(service.stats().compiles, 2 * keys.size());
+  for (std::size_t t = 0; t < keys.size(); ++t) {
+    const Artifact& a = *seen[t];
+    const Artifact& want = *sequential[t];
+    const std::string& what = keys[t].platform;
+    ASSERT_TRUE(a.ok) << what;
+    EXPECT_EQ(a.originalText, want.originalText) << what;
+    EXPECT_EQ(a.transformedText, want.transformedText) << what;
+    EXPECT_EQ(a.cyclesWithLM, want.cyclesWithLM) << what;
+    EXPECT_EQ(a.cyclesWithoutLM, want.cyclesWithoutLM) << what;
+    EXPECT_EQ(a.normalized, want.normalized) << what;
+    EXPECT_EQ(a.outcome, want.outcome) << what;
+    EXPECT_EQ(a.proofOriginal, want.proofOriginal) << what;
+    EXPECT_EQ(a.proofTransformed, want.proofTransformed) << what;
+    EXPECT_EQ(a.proofNote, want.proofNote) << what;
+    EXPECT_EQ(a.proofVetoed, want.proofVetoed) << what;
+  }
 }
 
 TEST(ServiceConcurrency, RestartedServiceAgreesUnderConcurrency) {
