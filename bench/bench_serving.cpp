@@ -47,7 +47,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr int kConnections = 4;
-constexpr int kReps = 3;
+/// Repetitions of the 33-key grid per phase and connection: a serial
+/// warm phase serves 990 requests, so its p99 has about ten samples
+/// beyond it (at 3 reps it was the second-largest of 99).
+constexpr int kReps = 30;
 /// Pipeline window of the concurrent warm phase (groverc --connect
 /// uses 64; a smaller window keeps per-request latency meaningful).
 constexpr std::size_t kWindow = 16;

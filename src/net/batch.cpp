@@ -1,11 +1,27 @@
 #include "net/batch.h"
 
+#include <algorithm>
+#include <cctype>
 #include <sstream>
 
 #include "support/io.h"
 #include "support/str.h"
 
 namespace grover::net {
+
+bool namesSourceFile(std::string_view line) {
+  // The first word as parseRequestLine() splits it: whitespace-separated,
+  // and `#` starts a comment.
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  const auto begin = std::find_if_not(line.begin(), line.end(), space);
+  const auto end = std::find_if(begin, line.end(), [&](char c) {
+    return space(c) || c == '#';
+  });
+  const std::string_view word(begin, end);
+  return word.size() > 3 && word.ends_with(".cl");
+}
 
 BatchEntry parseRequestLine(const std::string& line) {
   BatchEntry e;
@@ -19,7 +35,7 @@ BatchEntry parseRequestLine(const std::string& line) {
   for (std::string w; tokens >> w;) words.push_back(w);
   if (words.empty()) return e;  // blank/comment-only: text stays empty
   e.text = join(words, " ");
-  if (words[0].size() > 3 && words[0].rfind(".cl") == words[0].size() - 3) {
+  if (namesSourceFile(words[0])) {
     if (words.size() > 2) {
       e.error = "too many arguments (expected <path.cl> [<kernel-name>])";
     } else if (std::string err;

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/artifact.h"
@@ -31,6 +32,11 @@ struct BatchEntry {
   /// entry came from parseBatchFile with a non-empty file name.
   std::string error;
 };
+
+/// Whether a grammar line names a kernel source file: its first word
+/// ends in `.cl`. Parsing such a line reads the file, so groverd's event
+/// loop leaves it to a worker.
+[[nodiscard]] bool namesSourceFile(std::string_view line);
 
 /// Parse one grammar line (already comment-stripped or not — `#` is
 /// handled here too). Returns an entry with valid=false and a bare,

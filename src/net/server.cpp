@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "net/batch.h"
 #include "net/render.h"
@@ -37,6 +38,15 @@ void closeFd(int& fd) {
   }
 }
 
+/// A grammar line parsed as a request. The daemon's --prove policy
+/// applies to every request; the grammar has no per-line way to opt out
+/// of safety.
+BatchEntry parseRequest(const std::string& payload, bool prove) {
+  BatchEntry entry = parseRequestLine(payload);
+  entry.request.options.prove |= prove;
+  return entry;
+}
+
 }  // namespace
 
 /// Per-connection state machine. Reads accumulate in `reader` until
@@ -51,6 +61,9 @@ struct Server::Connection {
   std::size_t writeOff = 0;
   /// Admitted requests whose response has not been queued yet.
   std::size_t inflight = 0;
+  /// Requests answered on the loop thread this poll round. Each holds one
+  /// credit (clientCredits) until the round ends.
+  std::size_t answeredInline = 0;
   /// Protocol violation: flush the Error frame, then close. No further
   /// reads are processed.
   bool closeAfterFlush = false;
@@ -296,6 +309,7 @@ void Server::run() {
     std::vector<std::uint64_t> pollIds;
     pollIds.reserve(connections_.size());
     for (const auto& conn : connections_) {
+      conn->answeredInline = 0;  // a new round: inline answers free credits
       short events = 0;
       // A poisoned connection only flushes its Error frame; a
       // half-closed one has nothing further to read.
@@ -541,9 +555,11 @@ void Server::handleFrame(Connection& conn, Frame frame) {
       }
       // Per-connection credits first: a pipeliner past its own
       // allowance is rejected even while the global queue has room, so
-      // one greedy client cannot starve the rest.
+      // one greedy client cannot starve the rest. Answers given on the
+      // loop this round count: without them a pipeliner of warm hits
+      // would take a whole read budget of answers per round.
       if (config_.clientCredits > 0 &&
-          conn.inflight >= config_.clientCredits) {
+          conn.inflight + conn.answeredInline >= config_.clientCredits) {
         ++overloaded_;
         ++credit_rejected_;
         respond(conn, FrameType::Response, frame.id, Status::Overloaded,
@@ -551,6 +567,7 @@ void Server::handleFrame(Connection& conn, Frame frame) {
                     config_.clientCredits, " in flight); retry later"));
         return;
       }
+      if (answerInline(conn, frame)) return;
       // Global bound, with the last admitReserve slots held back for a
       // connection's FIRST outstanding request: even when pipeliners
       // collectively fill the queue, a polite serial client still
@@ -599,6 +616,31 @@ void Server::handleFrame(Connection& conn, Frame frame) {
   }
 }
 
+bool Server::answerInline(Connection& conn, const Frame& frame) {
+  // Parsing a source-file line reads the file: never on the loop.
+  if (namesSourceFile(frame.payload)) return false;
+  const BatchEntry entry = parseRequest(frame.payload, config_.prove);
+  if (!entry.valid) return false;  // the worker reports it
+  std::string text;
+  if (frame.type == FrameType::AutoRequest) {
+    const std::optional<service::AutoResult> r =
+        service_.answerAutoFromMemory(entry.request);
+    if (!r.has_value()) return false;
+    text = renderAutoResultLine(*r);
+  } else {
+    const service::ArtifactPtr a = service_.answerFromMemory(entry.request);
+    if (a == nullptr) return false;
+    text = renderResultLine(*a);
+  }
+  // Admitted and answered at once: it counts in requestsAdmitted but
+  // never in admittedNow, and respond() bumps lastActivity as a
+  // completion does.
+  ++admitted_total_;
+  ++conn.answeredInline;
+  respond(conn, FrameType::Response, frame.id, Status::Ok, text);
+  return true;
+}
+
 void Server::dispatchRequest(Connection& conn, FrameType type,
                              std::uint64_t id, std::string payload) {
   const std::uint64_t connId = conn.connId;
@@ -607,7 +649,7 @@ void Server::dispatchRequest(Connection& conn, FrameType type,
     Completion c;
     c.connId = connId;
     c.requestId = id;
-    BatchEntry entry = parseRequestLine(payload);
+    const BatchEntry entry = parseRequest(payload, config_.prove);
     if (entry.text.empty()) {
       c.status = Status::RequestFailed;
       c.text = "error: empty request";
@@ -615,9 +657,6 @@ void Server::dispatchRequest(Connection& conn, FrameType type,
       c.status = Status::RequestFailed;
       c.text = "error: " + entry.error;
     } else {
-      // The daemon's --prove policy applies to every request; the
-      // grammar has no per-line way to opt out of safety.
-      entry.request.options.prove |= config_.prove;
       try {
         // Status::Ok means "the request was served" — a negative
         // artifact ("failed: <diagnostic>") is a served verdict, same

@@ -6,9 +6,12 @@
 //
 // Threading model: the thread that calls run() is the loop thread. It
 // owns every socket, connection state machine and the admission count.
-// Worker threads only execute service calls and hand finished responses
-// back through a mutex-guarded completion queue plus a self-pipe wakeup;
-// they never touch a socket. The counters are atomics, so stats() and
+// It answers a request itself when the service can answer it from memory
+// alone (CompileService::answerFromMemory); such an answer holds one of
+// the connection's credits until the poll round ends. Every other request
+// runs on a worker thread, which hands the finished response back through
+// a mutex-guarded completion queue plus a self-pipe wakeup and never
+// touches a socket. The counters are atomics, so stats() and
 // statsFrame() are readable from any thread. requestStop() is
 // async-signal-safe (one pipe write), so SIGINT/SIGTERM handlers can
 // trigger a graceful drain: stop accepting, reject new requests with
@@ -47,9 +50,10 @@ struct ServerConfig {
   /// immediately with Status::Overloaded — backpressure, not OOM.
   std::size_t maxAdmitted = 128;
   /// Per-connection admission credits: how many requests ONE connection
-  /// may hold admitted at once. A pipeliner past its credits is answered
-  /// Overloaded while other connections still admit — fairness, so one
-  /// greedy client cannot monopolize the global queue. Matches groverc
+  /// may hold admitted at once, counting those answered on the loop this
+  /// poll round. A pipeliner past its credits is answered Overloaded while
+  /// other connections still admit — fairness, so one greedy client
+  /// cannot monopolize the global queue or the loop. Matches groverc
   /// --connect's pipeline window so a single well-behaved client is
   /// never rejected. 0 disables the per-connection bound.
   std::size_t clientCredits = 64;
@@ -139,6 +143,9 @@ class Server {
   void adoptFd(int fd);
   void handleReadable(Connection& conn);
   void handleFrame(Connection& conn, Frame frame);
+  /// Answer a request frame on the loop thread from the service's memory.
+  /// False when the service declines; the caller then admits it.
+  [[nodiscard]] bool answerInline(Connection& conn, const Frame& frame);
   void dispatchRequest(Connection& conn, FrameType type, std::uint64_t id,
                        std::string payload);
   void respond(Connection& conn, FrameType type, std::uint64_t id,

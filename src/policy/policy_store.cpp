@@ -98,17 +98,20 @@ PolicyStore::Shard& PolicyStore::shardFor(std::uint64_t key) {
   return *shards_[key % shards_.size()];
 }
 
-std::optional<Decision> PolicyStore::lookup(std::uint64_t key) {
-  {
-    Shard& shard = shardFor(key);
-    std::lock_guard lock(shard.mutex);
-    if (const auto it = shard.index.find(key); it != shard.index.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->decision;
-    }
-    ++shard.misses;
+std::optional<Decision> PolicyStore::lookupMemory(std::uint64_t key) {
+  Shard& shard = shardFor(key);
+  std::lock_guard lock(shard.mutex);
+  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+    ++shard.hits;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return it->second->decision;
   }
+  ++shard.misses;
+  return std::nullopt;
+}
+
+std::optional<Decision> PolicyStore::lookup(std::uint64_t key) {
+  if (std::optional<Decision> hit = lookupMemory(key)) return hit;
   Decision fromDisk;
   if (!disk_.load(key, [&](RecordReader& r) { readDecision(r, fromDisk); })) {
     return std::nullopt;

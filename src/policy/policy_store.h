@@ -109,6 +109,10 @@ class PolicyStore {
   /// populates the memory tier). nullopt = unknown kernel shape.
   [[nodiscard]] std::optional<Decision> lookup(std::uint64_t key);
 
+  /// The memory probe of lookup() alone: never reads the disk tier, so
+  /// nullopt may only mean the decision is not in memory.
+  [[nodiscard]] std::optional<Decision> lookupMemory(std::uint64_t key);
+
   /// Insert/overwrite in memory and persist to the disk tier (atomic
   /// temp-file + rename; write errors are swallowed — the disk tier is
   /// an optimization, never a correctness dependency).

@@ -27,6 +27,16 @@ ArtifactPtr negative(std::string diagnostics) {
   return a;
 }
 
+/// resolve(), or nullopt for a request it rejects: a memory-only answer
+/// declines those, and the blocking entry points report the error.
+std::optional<Request> resolvedOrNull(const Request& request) {
+  try {
+    return CompileService::resolve(request);
+  } catch (const GroverError&) {
+    return std::nullopt;
+  }
+}
+
 /// Thrown by compileUncached at a stage boundary once every waiter of
 /// the compile has disconnected; caught by the submit() worker.
 struct CancelledCompile {};
@@ -311,22 +321,10 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
           policy_store_.lookup(out.policyKey);
       warm.has_value()) {
     bump(&Counters::policyHits);
-    out.policyHit = true;
-    out.decision = *warm;
-    // A decision whose transform was Refuted can never serve the
-    // transformed variant, whatever the stored bytes claim (defense
-    // against hand-edited or corrupted policy directories).
-    if (out.decision.proof == sym::ProofStatus::Refuted) {
-      out.decision.variant = policy::Variant::Original;
-      out.decision.predictedOutcome = perf::Outcome::Loss;
-    }
-    // Age-decay the stored confidence toward the feature-prior floor; a
-    // stale entry whose measurements contradict its prediction is
-    // re-measured inline instead of trusted for another horizon.
     const std::uint64_t now = wallClockMs();
-    out.decision.confidence = policy::decayedConfidence(
-        out.decision, engine_.prior(out.features, spec).confidence, now,
-        config_.policyDecayHorizonMs);
+    serveWarm(out, *warm, spec, now);
+    // A stale entry whose measurements contradict its prediction is
+    // re-measured inline instead of trusted for another horizon.
     const bool remeasure = policy::shouldRemeasure(
         *warm, now, config_.policyDecayHorizonMs);
     if (remeasure) bump(&Counters::staleRemeasures);
@@ -415,6 +413,79 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
   }
   maybeMeasure(resolved, out);
   return out;
+}
+
+ArtifactPtr CompileService::answerFromMemory(const Request& request) {
+  // After shutdown() submit() throws, so nothing is answered.
+  if (stopping_.load()) return nullptr;
+  const std::optional<Request> resolved = resolvedOrNull(request);
+  if (!resolved) return nullptr;
+  ArtifactPtr hit;
+  {
+    StageTimer timer(*this, &Counters::cacheNs);
+    hit = cache_.get(cacheKey(*resolved));
+  }
+  if (hit == nullptr) return nullptr;
+  bump(&Counters::requests);
+  bump(&Counters::memoryHits);
+  if (!hit->ok) bump(&Counters::negativeHits);
+  return hit;
+}
+
+std::optional<AutoResult> CompileService::answerAutoFromMemory(
+    const Request& request) {
+  const std::optional<Request> resolved = resolvedOrNull(request);
+  // Without a platform there is no decision to serve; the pool path
+  // serves submit()'s answer. Synchronous sampling may measure inline.
+  if (!resolved || resolved->platform.empty() ||
+      (config_.measureRate > 0 && config_.measureQueueDepth == 0)) {
+    return std::nullopt;
+  }
+  const std::uint64_t key = cacheKey(*resolved);
+  AutoResult out;
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = feature_keys_.find(key);
+    if (it == feature_keys_.end()) return std::nullopt;
+    out.features = it->second.features;
+    out.policyKey = it->second.policyKey;
+  }
+  const std::optional<policy::Decision> warm =
+      policy_store_.lookupMemory(out.policyKey);
+  if (!warm.has_value()) return std::nullopt;
+  const std::uint64_t now = wallClockMs();
+  if (policy::shouldRemeasure(*warm, now, config_.policyDecayHorizonMs)) {
+    return std::nullopt;
+  }
+  {
+    StageTimer timer(*this, &Counters::cacheNs);
+    out.artifact = cache_.get(key);
+  }
+  if (out.artifact == nullptr) return std::nullopt;
+  bump(&Counters::featureKeysReused);
+  bump(&Counters::policyHits);
+  out.eligible = true;
+  serveWarm(out, *warm, *perf::findPlatform(resolved->platform), now);
+  maybeMeasure(*resolved, out);
+  return out;
+}
+
+void CompileService::serveWarm(AutoResult& out, const policy::Decision& warm,
+                               const perf::PlatformSpec& spec,
+                               std::uint64_t nowMs) const {
+  out.policyHit = true;
+  out.decision = warm;
+  // A decision whose transform was Refuted can never serve the
+  // transformed variant, whatever the stored bytes claim (defense
+  // against hand-edited or corrupted policy directories).
+  if (out.decision.proof == sym::ProofStatus::Refuted) {
+    out.decision.variant = policy::Variant::Original;
+    out.decision.predictedOutcome = perf::Outcome::Loss;
+  }
+  // Age-decay the stored confidence toward the feature-prior floor.
+  out.decision.confidence = policy::decayedConfidence(
+      out.decision, engine_.prior(out.features, spec).confidence, nowMs,
+      config_.policyDecayHorizonMs);
 }
 
 void CompileService::maybeMeasure(const Request& resolved, AutoResult& out,

@@ -5,12 +5,14 @@
 // a bounded in-flight queue and a drain/shutdown path.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -210,6 +212,22 @@ class CompileService {
   [[nodiscard]] AutoResult compileAuto(Request request,
                                        CancelToken cancel = nullptr);
 
+  /// Memory-only answers (DESIGN.md §8): what submit() and compileAuto()
+  /// serve for `request` when they would answer it from memory and do
+  /// nothing else, moving the same counters. Otherwise they decline
+  /// (null / nullopt) and move no count. They never compile, read a file
+  /// or a disk tier, wait on an in-flight compile or measure inline, so
+  /// groverd's event loop calls them; the blocking entry points keep
+  /// their own probes. A request resolve() rejects declines too; the
+  /// blocking entry points report its error.
+  [[nodiscard]] ArtifactPtr answerFromMemory(const Request& request);
+  /// An auto request declines unless it names a platform, its feature key
+  /// is memoized, its decision is in the policy store's memory, no stale
+  /// re-measure is due, its full artifact is in memory, and sampling is
+  /// off or queued.
+  [[nodiscard]] std::optional<AutoResult> answerAutoFromMemory(
+      const Request& request);
+
   /// Fold a measured np for a policyKey back into the decision store
   /// (EWMA; may flip the stored decision). When the measurement newly
   /// crosses the mismatch tolerance and the key's request is known from
@@ -295,6 +313,12 @@ class CompileService {
     counters_.*field += delta;
   }
 
+  /// Serve the stored decision `warm` in `out`, as every policy hit does
+  /// (compileAuto() and answerAutoFromMemory()): a Refuted transform
+  /// serves the original, and the confidence decays with age.
+  void serveWarm(AutoResult& out, const policy::Decision& warm,
+                 const perf::PlatformSpec& spec, std::uint64_t nowMs) const;
+
   /// The full cold pipeline. `cancel` (may be null) is polled at stage
   /// boundaries; on trigger the compile aborts by exception, caught by
   /// the submit() worker.
@@ -343,7 +367,9 @@ class CompileService {
   };
   std::unordered_map<std::uint64_t, Inflight> inflight_;
   std::size_t pending_ = 0;
-  bool stopping_ = false;
+  /// Set by shutdown() under mutex_; atomic because answerFromMemory()
+  /// reads it without the lock.
+  std::atomic<bool> stopping_{false};
   /// Measurement sampling accumulator (guarded by mutex_): gains
   /// measureRate per eligible request, fires when it reaches 1.
   double measure_accum_ = 0;

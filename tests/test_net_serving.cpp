@@ -4,11 +4,14 @@
 // single-flight across connections, shared policy warmth — and the
 // failure modes it must survive: malformed and oversized frames,
 // clients vanishing mid-request, admission-queue overflow, and a drain
-// that completes in-flight work.
+// that completes in-flight work. Warm hits are answered on the event loop
+// within each connection's credits; source-file lines never are.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -541,6 +544,143 @@ TEST(NetServing, GreedyPipelinerIsRejectedWhilePoliteClientAdmits) {
   const StatsCounters stats = s.server.stats();
   EXPECT_EQ(stats.rejectedClientCredit, kBurst - 2);
   EXPECT_EQ(stats.rejectedOverload, kBurst - 2);
+}
+
+/// Prime `line` warm on the daemon: its decision, feature key and full
+/// artifact all in memory.
+void primeWarm(const Serving& s, const std::string& line) {
+  Client client;
+  client.connect(s.addr());
+  const Reply decided = request(client, line, 1, FrameType::AutoRequest);
+  ASSERT_EQ(decided.status, Status::Ok) << decided.text;
+  const Reply plain = request(client, line, 2);
+  ASSERT_EQ(plain.status, Status::Ok) << plain.text;
+}
+
+TEST(NetServing, WarmHitOvertakesAColdCompile) {
+  // One worker returns pool replies in order, so a hit sent to the pool
+  // waits behind the cold compile ahead of it. Answered on the loop, it
+  // comes back first.
+  const std::string warmLine = "AMD-SS SNB test";
+  for (const FrameType type : {FrameType::Request, FrameType::AutoRequest}) {
+    ServerConfig serverConfig;
+    serverConfig.workers = 1;
+    Serving s(serverConfig);
+    primeWarm(s, warmLine);
+
+    Client client;
+    client.connect(s.addr());
+    std::string burst;
+    grover::net::appendFrame(burst, FrameType::Request, 1,
+                             "NVD-MT SNB bench");
+    grover::net::appendFrame(burst, type, 2, warmLine);
+    client.sendRaw(burst);
+    const Reply first = readReply(client);
+    const Reply second = readReply(client);
+    EXPECT_EQ(first.id, 2u) << "the warm hit waited for the cold compile";
+    EXPECT_EQ(first.status, Status::Ok) << first.text;
+    EXPECT_EQ(second.id, 1u);
+    EXPECT_EQ(second.status, Status::Ok) << second.text;
+    if (type == FrameType::AutoRequest) {
+      EXPECT_NE(first.text.find("policy hit"), std::string::npos)
+          << first.text;
+    }
+  }
+}
+
+TEST(NetServing, WarmBurstStaysWithinCredits) {
+  // An answer given on the loop holds one of its connection's credits for
+  // the poll round: a burst of warm hits past the credits is rejected like
+  // a burst of cold requests.
+  ServerConfig serverConfig;
+  serverConfig.clientCredits = 2;
+  serverConfig.workers = 1;
+  Serving s(serverConfig);
+  const std::string warmLine = "NVD-MT SNB test";
+  primeWarm(s, warmLine);
+
+  Client greedy;
+  greedy.connect(s.addr());
+  constexpr std::size_t kBurst = 6;
+  std::string burst;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    grover::net::appendFrame(burst, FrameType::Request,
+                             static_cast<std::uint64_t>(i + 1), warmLine);
+  }
+  greedy.sendRaw(burst);
+  std::size_t okCount = 0, creditRejected = 0;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const Reply r = readReply(greedy);
+    if (r.status == Status::Ok) {
+      ++okCount;
+    } else {
+      EXPECT_EQ(r.status, Status::Overloaded) << r.text;
+      EXPECT_NE(r.text.find("per-connection credit limit"),
+                std::string::npos)
+          << r.text;
+      ++creditRejected;
+    }
+  }
+  EXPECT_EQ(okCount, 2u);
+  EXPECT_EQ(creditRejected, kBurst - 2);
+  EXPECT_EQ(s.server.stats().rejectedClientCredit, kBurst - 2);
+
+  // A window no larger than the credits is never rejected.
+  Client polite;
+  polite.connect(s.addr());
+  std::string window;
+  for (std::size_t i = 0; i < serverConfig.clientCredits; ++i) {
+    grover::net::appendFrame(window, FrameType::Request,
+                             static_cast<std::uint64_t>(100 + i), warmLine);
+  }
+  polite.sendRaw(window);
+  for (std::size_t i = 0; i < serverConfig.clientCredits; ++i) {
+    const Reply r = readReply(polite);
+    EXPECT_EQ(r.status, Status::Ok) << r.text;
+  }
+  EXPECT_EQ(s.server.stats().rejectedClientCredit, kBurst - 2);
+}
+
+TEST(NetServing, SourceFileRequestsNeverRunOnTheLoop) {
+  // Parsing a `.cl` line reads the file, so even a warm one goes to the
+  // pool: with one worker it comes back after the cold compile ahead of
+  // it.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("grover_net_loop_" + std::to_string(::getpid()) + ".cl");
+  {
+    std::ofstream out(path);
+    out << R"CL(
+__kernel void copy(__global float* out, __global float* in) {
+  __local float tile[16];
+  int lx = get_local_id(0);
+  tile[lx] = in[get_global_id(0)];
+  barrier(CLK_LOCAL_MEM_FENCE);
+  out[get_global_id(0)] = tile[lx];
+}
+)CL";
+  }
+  ServerConfig serverConfig;
+  serverConfig.workers = 1;
+  Serving s(serverConfig);
+  Client client;
+  client.connect(s.addr());
+  const std::string fileLine = path.string() + " copy";
+  const Reply primed = request(client, fileLine, 100);
+  ASSERT_EQ(primed.status, Status::Ok) << primed.text;
+
+  std::string burst;
+  grover::net::appendFrame(burst, FrameType::Request, 1, "NVD-MT SNB bench");
+  grover::net::appendFrame(burst, FrameType::Request, 2, fileLine);
+  client.sendRaw(burst);
+  const Reply first = readReply(client);
+  const Reply second = readReply(client);
+  EXPECT_EQ(first.id, 1u) << "the file line was answered on the loop";
+  EXPECT_EQ(first.status, Status::Ok) << first.text;
+  EXPECT_EQ(second.id, 2u);
+  EXPECT_EQ(second.status, Status::Ok) << second.text;
+  EXPECT_EQ(second.text, primed.text);
+  std::filesystem::remove(path);
 }
 
 TEST(NetServing, DisconnectDuringColdCompileCancelsAndCachesNothing) {

@@ -3,13 +3,17 @@
 // fallback, the store-time parse check, a restarted service answering
 // auto requests from disk), bit-identity of cached estimates with the
 // uncached Harness path, the proof and estimate memos of cold compiles,
-// and which served platforms one estimate's execution prices.
+// which served platforms one estimate's execution prices, and the
+// memory-only answers groverd's event loop gives.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -83,6 +87,57 @@ Request estimateRequest(const std::string& app, const std::string& platform,
   req.scale = apps::Scale::Test;
   req.options.prove = prove;
   return req;
+}
+
+/// Every count of ServiceStats (stage times and the queue gauge left out),
+/// so two snapshots compare field by field.
+std::vector<std::uint64_t> counts(const ServiceStats& s) {
+  return {s.requests,          s.memoryHits,
+          s.negativeHits,      s.coalesced,
+          s.misses,            s.diskHits,
+          s.compiles,          s.evictions,
+          s.diskLoadFailures,  s.policyDiskLoadFailures,
+          s.diskStores,        s.entries,
+          s.bytesInUse,        s.cancelled,
+          s.policyHits,        s.policyMisses,
+          s.policyStores,      s.policyFlips,
+          s.policyMismatches,  s.featureKeysReused,
+          s.measurements,      s.nativeMeasurements,
+          s.policyRefreshes,   s.measurementsDropped,
+          s.proofsRun,         s.proofsProved,
+          s.proofsRefuted,     s.proofsUnknown,
+          s.proofVetoes,       s.proofsReused,
+          s.estimatesReused,   s.staleRemeasures};
+}
+
+/// after - before, count by count.
+std::vector<std::int64_t> countDeltas(const ServiceStats& before,
+                                      const ServiceStats& after) {
+  const std::vector<std::uint64_t> b = counts(before);
+  const std::vector<std::uint64_t> a = counts(after);
+  std::vector<std::int64_t> d(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    d[i] = static_cast<std::int64_t>(a[i]) - static_cast<std::int64_t>(b[i]);
+  }
+  return d;
+}
+
+/// The decision fields a served answer reports.
+void expectSameDecision(const policy::Decision& a, const policy::Decision& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.variant, b.variant) << what;
+  EXPECT_EQ(a.predictedNp, b.predictedNp) << what;
+  EXPECT_EQ(a.predictedOutcome, b.predictedOutcome) << what;
+  EXPECT_EQ(a.proof, b.proof) << what;
+  EXPECT_EQ(a.confidence, b.confidence) << what;
+  EXPECT_EQ(a.source, b.source) << what;
+}
+
+std::uint64_t nowMs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
 }
 
 TEST(ArtifactCacheLru, EvictionRespectsByteBudget) {
@@ -554,6 +609,182 @@ TEST(ServiceMemo, RawSourceProofsAreNotMemoized) {
   EXPECT_EQ(s.compiles, 2u);
   EXPECT_EQ(s.proofsReused, 0u);
   EXPECT_EQ(s.proofsRun, 4u);
+}
+
+
+TEST(ServiceCompileAuto, MemoryAnswerMatchesThePoolPath) {
+  // Two services primed identically: `memory` answers from memory alone,
+  // `pool` through the blocking entry points a groverd worker calls.
+  const Request warm = estimateRequest("NVD-MT", "SNB", /*prove=*/true);
+  const Request refuted = estimateRequest("AMD-SS", "SNB");
+  Request broken;
+  broken.source = "__kernel void broken(__global float* out) { out[0] = ; }";
+  CompileService memory(ServiceConfig{});
+  CompileService pool(ServiceConfig{});
+  for (CompileService* svc : {&memory, &pool}) {
+    for (const Request& r : {warm, refuted}) {
+      const AutoResult cold = svc->compileAuto(r);
+      ASSERT_TRUE(cold.eligible);
+      ASSERT_FALSE(cold.policyHit);
+      ASSERT_TRUE(svc->run(r)->ok);
+    }
+    ASSERT_FALSE(svc->run(broken)->ok);
+    // A stored Refuted proof on a Transformed decision: the guard serves
+    // the original, whatever the stored variant says.
+    const std::uint64_t key = svc->compileAuto(refuted).policyKey;
+    policy::Decision d = *svc->policyStore().lookup(key);
+    d.variant = policy::Variant::Transformed;
+    d.predictedOutcome = perf::Outcome::Gain;
+    d.proof = sym::ProofStatus::Refuted;
+    svc->policyStore().store(key, d);
+  }
+
+  // Plain hits, a cached failure among them: requests + memoryHits
+  // (+ negativeHits), nothing else.
+  for (const Request& r : {warm, broken}) {
+    const std::string what = r.appId.empty() ? "negative" : "plain";
+    const ServiceStats m0 = memory.stats();
+    const ServiceStats p0 = pool.stats();
+    const ArtifactPtr fromMemory = memory.answerFromMemory(r);
+    const ArtifactPtr fromPool = pool.run(r);
+    ASSERT_NE(fromMemory, nullptr) << what;
+    expectSameArtifact(*fromMemory, *fromPool, what);
+    const std::vector<std::int64_t> moved =
+        countDeltas(m0, memory.stats());
+    EXPECT_EQ(moved, countDeltas(p0, pool.stats())) << what;
+    ServiceStats expected;
+    expected.requests = 1;
+    expected.memoryHits = 1;
+    expected.negativeHits = r.appId.empty() ? 1 : 0;
+    EXPECT_EQ(moved, countDeltas(ServiceStats{}, expected)) << what;
+  }
+
+  // Auto hits: featureKeysReused + policyHits, nothing else.
+  for (const Request& r : {warm, refuted}) {
+    const std::string what = r.appId + " auto";
+    const ServiceStats m0 = memory.stats();
+    const ServiceStats p0 = pool.stats();
+    const std::optional<AutoResult> fromMemory =
+        memory.answerAutoFromMemory(r);
+    const AutoResult fromPool = pool.compileAuto(r);
+    ASSERT_TRUE(fromMemory.has_value()) << what;
+    EXPECT_TRUE(fromMemory->eligible) << what;
+    EXPECT_TRUE(fromMemory->policyHit) << what;
+    EXPECT_TRUE(fromPool.policyHit) << what;
+    EXPECT_EQ(fromMemory->policyKey, fromPool.policyKey) << what;
+    EXPECT_EQ(fromMemory->servedText(), fromPool.servedText()) << what;
+    expectSameArtifact(*fromMemory->artifact, *fromPool.artifact, what);
+    expectSameDecision(fromMemory->decision, fromPool.decision, what);
+    const std::vector<std::int64_t> moved =
+        countDeltas(m0, memory.stats());
+    EXPECT_EQ(moved, countDeltas(p0, pool.stats())) << what;
+    ServiceStats expected;
+    expected.featureKeysReused = 1;
+    expected.policyHits = 1;
+    EXPECT_EQ(moved, countDeltas(ServiceStats{}, expected)) << what;
+  }
+  const std::optional<AutoResult> guarded =
+      memory.answerAutoFromMemory(refuted);
+  ASSERT_TRUE(guarded.has_value());
+  EXPECT_EQ(guarded->decision.variant, policy::Variant::Original);
+  EXPECT_EQ(guarded->decision.predictedOutcome, perf::Outcome::Loss);
+  EXPECT_EQ(guarded->servedText(), guarded->artifact->originalText);
+}
+
+TEST(ServiceCompileAuto, MemoryAnswerDeclinesWithoutCounting) {
+  const Request req = estimateRequest("NVD-MT", "SNB");
+  const Request other = estimateRequest("AMD-SS", "SNB");
+  // Declines, and moves no count.
+  const auto expectDeclined = [](CompileService& svc, const Request& r,
+                                 const std::string& what) {
+    const ServiceStats before = svc.stats();
+    EXPECT_FALSE(svc.answerAutoFromMemory(r).has_value()) << what;
+    EXPECT_EQ(counts(svc.stats()), counts(before)) << what;
+  };
+
+  // The feature key is not memoized, though the artifact (which carries
+  // the key) and the decision are both in memory.
+  {
+    CompileService learner(ServiceConfig{});
+    const AutoResult cold = learner.compileAuto(req);
+    ASSERT_TRUE(cold.eligible);
+    CompileService svc(ServiceConfig{});
+    ASSERT_TRUE(svc.run(req)->hasFeatures);
+    svc.policyStore().store(cold.policyKey, cold.decision);
+    expectDeclined(svc, req, "feature key not memoized");
+  }
+
+  // The decision is only on disk: a fresh service over a filled policy
+  // directory whose one-entry memory tier a second key has taken.
+  {
+    const std::string dir = freshDir("decline");
+    ServiceConfig config;
+    config.policyStore.diskDir = dir;
+    {
+      CompileService filler(config);
+      ASSERT_TRUE(filler.compileAuto(req).eligible);
+      ASSERT_TRUE(filler.compileAuto(other).eligible);
+    }
+    config.policyStore.maxEntries = 1;
+    config.policyStore.shards = 1;
+    CompileService svc(config);
+    ASSERT_TRUE(svc.compileAuto(req).policyHit);
+
+    // The decision is warm but no full artifact is in memory (a policy
+    // hit builds only the winner and never caches it).
+    expectDeclined(svc, req, "no full artifact");
+
+    ASSERT_TRUE(svc.run(req)->ok);
+    ASSERT_TRUE(svc.answerAutoFromMemory(req).has_value());
+    ASSERT_TRUE(svc.compileAuto(other).policyHit);
+    expectDeclined(svc, req, "decision only on disk");
+    fs::remove_all(dir);
+  }
+
+  // Synchronous sampling: the pool path may measure inline.
+  {
+    ServiceConfig config;
+    config.measureRate = 0.5;
+    CompileService svc(config);
+    ASSERT_TRUE(svc.compileAuto(req).eligible);
+    ASSERT_TRUE(svc.run(req)->ok);
+    expectDeclined(svc, req, "measureRate > 0, no queue");
+  }
+
+  // A mismatched decision past the decay horizon is re-measured inline.
+  {
+    ServiceConfig config;
+    config.policyDecayHorizonMs = 1000;
+    CompileService svc(config);
+    const AutoResult cold = svc.compileAuto(req);
+    ASSERT_TRUE(svc.run(req)->ok);
+    ASSERT_TRUE(svc.answerAutoFromMemory(req).has_value());
+    policy::Decision stale = cold.decision;
+    stale.mismatch = true;
+    stale.storedAtMs = nowMs() - 10 * config.policyDecayHorizonMs;
+    svc.policyStore().store(cold.policyKey, stale);
+    expectDeclined(svc, req, "stale mismatch");
+  }
+
+  // An unknown app or platform declines without throwing; submit() and
+  // compileAuto() report it.
+  {
+    CompileService svc(ServiceConfig{});
+    ASSERT_TRUE(svc.compileAuto(req).eligible);
+    ASSERT_TRUE(svc.run(req)->ok);
+    Request unknownApp = req;
+    unknownApp.appId = "NOT-AN-APP";
+    Request unknownPlatform = req;
+    unknownPlatform.platform = "PDP-11";
+    for (const Request& r : {unknownApp, unknownPlatform}) {
+      const std::string what = r.appId + " on " + r.platform;
+      expectDeclined(svc, r, what);
+      const ServiceStats before = svc.stats();
+      EXPECT_EQ(svc.answerFromMemory(r), nullptr) << what;
+      EXPECT_EQ(counts(svc.stats()), counts(before)) << what;
+      EXPECT_THROW((void)svc.compileAuto(r), GroverError) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -3,14 +3,18 @@
 // every waiter must observe identical module text. Requests for one
 // kernel on every platform, compiling at once, agree with a sequential
 // run. A restarted service racing auto and plain requests over filled
-// disk tiers compiles nothing and agrees with a sequential run.
+// disk tiers compiles nothing and agrees with a sequential run. Memory-only
+// answers racing cold compiles and decision flips agree with a sequential
+// run too.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -391,6 +395,177 @@ TEST(ServiceConcurrency, RestartedServiceAgreesUnderConcurrency) {
   EXPECT_EQ(s.policyMisses, 0u);
   EXPECT_EQ(s.diskLoadFailures, 0u);
   fs::remove_all(dir);
+}
+
+TEST(ServiceConcurrency, MemoryAnswersRaceColdCompilesAndFeedback) {
+  // Reader threads take memory-only answers on primed keys while another
+  // thread compiles cold keys and another folds measurements that flip
+  // one primed key's decision back and forth.
+  const auto autoRequest = [](const std::string& id,
+                              const std::string& platform) {
+    Request r = appRequest(id);
+    r.platform = platform;
+    r.scale = apps::Scale::Test;
+    return r;
+  };
+  const std::vector<Request> stable = {autoRequest("NVD-MT", "SNB"),
+                                       autoRequest("AMD-SS", "SNB")};
+  const Request flipped = autoRequest("AMD-MT", "SNB");
+  const std::vector<Request> cold = {autoRequest("NVD-MT", "Fermi"),
+                                     autoRequest("AMD-SS", "Fermi"),
+                                     autoRequest("AMD-MT", "Fermi")};
+  const std::vector<double> measured = {0.5, 0.5, 2.0, 2.0, 2.0, 0.5,
+                                        0.5, 0.5, 2.0, 2.0, 2.0, 0.5};
+  // Every key warm in memory, and `flipped`'s decision already flagged as
+  // a mismatch: no measurement then triggers a refresh, so each one is a
+  // single store and every state a reader can see is one a sequential
+  // run reaches.
+  const auto prime = [&](CompileService& svc) {
+    for (const Request& r : stable) {
+      EXPECT_TRUE(svc.compileAuto(r).eligible);
+      EXPECT_TRUE(svc.run(r)->ok);
+    }
+    const std::uint64_t key = svc.compileAuto(flipped).policyKey;
+    EXPECT_TRUE(svc.run(flipped)->ok);
+    policy::Decision d = *svc.policyStore().lookup(key);
+    d.mismatch = true;
+    svc.policyStore().store(key, d);
+    return key;
+  };
+  const auto sameDecision = [](const policy::Decision& a,
+                               const policy::Decision& b) {
+    return a.variant == b.variant && a.predictedNp == b.predictedNp &&
+           a.predictedOutcome == b.predictedOutcome && a.proof == b.proof &&
+           a.confidence == b.confidence && a.source == b.source &&
+           a.ewmaNp == b.ewmaNp && a.observations == b.observations &&
+           a.mismatch == b.mismatch;
+  };
+
+  // The sequential run: compileAuto() after each measurement.
+  CompileService sequential(ServiceConfig{});
+  const std::uint64_t flippedKey = prime(sequential);
+  std::vector<AutoResult> stableWant;
+  for (const Request& r : stable) {
+    stableWant.push_back(sequential.compileAuto(r));
+  }
+  const ArtifactPtr flippedFull = sequential.run(flipped);
+  std::vector<policy::Decision> trajectory = {
+      sequential.compileAuto(flipped).decision};
+  for (const double np : measured) {
+    (void)sequential.recordMeasurement(flippedKey, np);
+    trajectory.push_back(sequential.compileAuto(flipped).decision);
+  }
+  ASSERT_EQ(sequential.stats().policyRefreshes, 0u);
+  std::size_t flips = 0;
+  for (std::size_t i = 1; i < trajectory.size(); ++i) {
+    if (trajectory[i].variant != trajectory[i - 1].variant) ++flips;
+  }
+  ASSERT_GE(flips, 2u) << "the measurements must flip the decision";
+
+  ServiceConfig config;
+  config.workers = 2;
+  CompileService service(config);
+  ASSERT_EQ(prime(service), flippedKey);
+  const ServiceStats before = service.stats();
+
+  constexpr unsigned kReaders = 3;
+  constexpr unsigned kMinRounds = 50;
+  std::atomic<bool> go{false};
+  std::atomic<bool> writersDone{false};
+  std::atomic<std::uint64_t> autoAnswers{0};
+  std::atomic<std::uint64_t> plainAnswers{0};
+  std::vector<std::vector<std::string>> errors(kReaders);
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (unsigned t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      const auto fail = [&](const std::string& what) {
+        if (errors[t].size() < 5) errors[t].push_back(what);
+      };
+      while (!go.load()) std::this_thread::yield();
+      std::uint64_t lastStep = 0;
+      for (unsigned round = 0; round < kMinRounds || !writersDone.load();
+           ++round) {
+        for (std::size_t k = 0; k < stable.size(); ++k) {
+          const std::string& id = stable[k].appId;
+          const std::optional<AutoResult> a =
+              service.answerAutoFromMemory(stable[k]);
+          const ArtifactPtr p = service.answerFromMemory(stable[k]);
+          if (!a.has_value() || p == nullptr) {
+            fail(id + ": declined");
+            continue;
+          }
+          autoAnswers.fetch_add(1);
+          plainAnswers.fetch_add(1);
+          if (a->servedText() != stableWant[k].servedText() ||
+              !sameDecision(a->decision, stableWant[k].decision)) {
+            fail(id + ": auto answer differs from the sequential run");
+          }
+          if (p->transformedText != a->artifact->transformedText) {
+            fail(id + ": plain answer differs from the auto answer");
+          }
+        }
+        const std::optional<AutoResult> f =
+            service.answerAutoFromMemory(flipped);
+        if (!f.has_value()) {
+          fail("AMD-MT: declined");
+          continue;
+        }
+        autoAnswers.fetch_add(1);
+        // The decision after `step` measurements, never an older one.
+        const std::uint64_t step = f->decision.observations;
+        if (step >= trajectory.size() || step < lastStep) {
+          fail("AMD-MT: observation " + std::to_string(step) + " after " +
+               std::to_string(lastStep));
+          continue;
+        }
+        lastStep = step;
+        if (!sameDecision(f->decision, trajectory[step])) {
+          fail("AMD-MT: decision differs from the sequential run's after " +
+               std::to_string(step) + " measurements");
+        }
+        const std::string& want =
+            f->decision.variant == policy::Variant::Transformed
+                ? flippedFull->transformedText
+                : flippedFull->originalText;
+        if (f->servedText() != want) fail("AMD-MT: served text differs");
+      }
+    });
+  }
+  std::thread compiler([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (const Request& r : cold) {
+      if (!service.compileAuto(r).eligible) ADD_FAILURE() << r.appId;
+    }
+  });
+  std::thread feedback([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (const double np : measured) {
+      (void)service.recordMeasurement(flippedKey, np);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  go = true;
+  compiler.join();
+  feedback.join();
+  writersDone = true;
+  for (std::thread& th : readers) th.join();
+
+  for (unsigned t = 0; t < kReaders; ++t) {
+    for (const std::string& e : errors[t]) ADD_FAILURE() << e;
+  }
+  // Each answer moved exactly what its blocking twin moves.
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.policyHits - before.policyHits, autoAnswers.load());
+  EXPECT_EQ(s.featureKeysReused - before.featureKeysReused,
+            autoAnswers.load());
+  EXPECT_EQ(s.memoryHits - before.memoryHits, plainAnswers.load());
+  EXPECT_EQ(s.requests - before.requests, plainAnswers.load() + cold.size());
+  EXPECT_EQ(s.policyMisses - before.policyMisses, cold.size());
+  EXPECT_EQ(s.compiles - before.compiles, cold.size());
+  EXPECT_EQ(s.policyRefreshes, 0u);
+  EXPECT_TRUE(sameDecision(service.compileAuto(flipped).decision,
+                           trajectory.back()));
 }
 
 TEST(ServiceConcurrency, BoundedQueueAppliesBackPressure) {
