@@ -1,11 +1,8 @@
 #include "policy/policy_store.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
-
-#include "support/record_file.h"
 
 namespace grover::policy {
 namespace {
@@ -33,8 +30,9 @@ void writeDecision(RecordWriter& w, const Decision& d) {
   w.num("storedAtMs", static_cast<std::int64_t>(d.storedAtMs));
 }
 
-void readDecision(RecordReader& r, Decision& d) {
+Decision readDecision(RecordReader& r) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Decision d;
   d.variant = static_cast<Variant>(
       r.num("variant", 0, static_cast<std::int64_t>(Variant::Transformed)));
   d.predictedOutcome = static_cast<perf::Outcome>(r.num(
@@ -48,7 +46,13 @@ void readDecision(RecordReader& r, Decision& d) {
   d.proof = static_cast<sym::ProofStatus>(
       r.num("proof", 0, static_cast<std::int64_t>(sym::ProofStatus::Unknown)));
   d.storedAtMs = static_cast<std::uint64_t>(r.num("storedAtMs", 0, kMax));
+  return d;
 }
+
+std::size_t entryCost(const Decision&) { return 1; }
+
+const RecordStore<Decision>::Codec kCodec{
+    ".grvpol", kFormat, "policy", entryCost, writeDecision, readDecision};
 
 }  // namespace
 
@@ -85,40 +89,7 @@ bool shouldRemeasure(const Decision& d, std::uint64_t nowMs,
 
 PolicyStore::PolicyStore(Config config)
     : config_(std::move(config)),
-      disk_(config_.diskDir, ".grvpol", kFormat, "policy") {
-  const unsigned n = std::max(1u, config_.shards);
-  shardBudget_ = std::max<std::size_t>(1, config_.maxEntries / n);
-  shards_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-PolicyStore::Shard& PolicyStore::shardFor(std::uint64_t key) {
-  return *shards_[key % shards_.size()];
-}
-
-std::optional<Decision> PolicyStore::lookupMemory(std::uint64_t key) {
-  Shard& shard = shardFor(key);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    ++shard.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->decision;
-  }
-  ++shard.misses;
-  return std::nullopt;
-}
-
-std::optional<Decision> PolicyStore::lookup(std::uint64_t key) {
-  if (std::optional<Decision> hit = lookupMemory(key)) return hit;
-  Decision fromDisk;
-  if (!disk_.load(key, [&](RecordReader& r) { readDecision(r, fromDisk); })) {
-    return std::nullopt;
-  }
-  putMemory(key, fromDisk);
-  return fromDisk;
-}
+      store_(kCodec, config_.maxEntries, config_.shards, config_.diskDir) {}
 
 void PolicyStore::store(std::uint64_t key, const Decision& decision) {
   // Stamp the store time unless the caller set one (tests construct
@@ -130,44 +101,16 @@ void PolicyStore::store(std::uint64_t key, const Decision& decision) {
             std::chrono::system_clock::now().time_since_epoch())
             .count());
   }
-  putMemory(key, stamped);
-  disk_.store(key, [&](RecordWriter& w) { writeDecision(w, stamped); });
-}
-
-void PolicyStore::putMemory(std::uint64_t key, const Decision& decision) {
-  Shard& shard = shardFor(key);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  shard.lru.push_front(Entry{key, decision});
-  shard.index[key] = shard.lru.begin();
-  while (shard.lru.size() > shardBudget_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-}
-
-std::string PolicyStore::diskPath(std::uint64_t key) const {
-  return disk_.path(key);
+  store_.put(key, stamped);
+  store_.store(key, stamped);
 }
 
 PolicyStore::Stats PolicyStore::stats() const {
-  Stats s;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.evictions += shard->evictions;
-    s.entries += shard->lru.size();
-  }
-  const RecordDir::Stats d = disk_.stats();
-  s.diskHits = d.hits;
-  s.diskLoadFailures = d.loadFailures;
-  s.diskStores = d.stores;
-  return s;
+  const auto s = store_.stats();
+  return {.hits = s.hits, .misses = s.misses, .evictions = s.evictions,
+          .entries = s.entries, .diskHits = s.disk.hits,
+          .diskLoadFailures = s.disk.loadFailures,
+          .diskStores = s.disk.stores};
 }
 
 }  // namespace grover::policy

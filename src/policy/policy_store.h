@@ -1,25 +1,20 @@
 // Persistent decision store of the policy engine (DESIGN.md §10): maps a
 // feature key — support::hash over (feature vector, platform, scale) —
-// to the transform decision learned for that kernel shape. Sharded
-// in-memory LRU (decisions are tiny, so the budget is entry-count based)
-// plus an optional on-disk tier of checksummed `groverpol 3` records in
-// the record format the artifact cache also uses (support/record_file.h):
-// doubles stored as bit patterns, temp-file + atomic rename on write, and
-// any record whose checksum or fields fail is deleted and treated as a
-// miss.
+// to the transform decision learned for that kernel shape. A RecordStore
+// (support/record_store.h): sharded in-memory LRU (decisions are tiny, so
+// the budget is entry-count based) plus an optional on-disk tier of
+// checksummed `groverpol 3` records in the record format the artifact
+// cache also uses (support/record_file.h): doubles stored as bit
+// patterns, temp-file + atomic rename on write, and any record whose
+// checksum or fields fail is deleted and treated as a miss.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "perf/estimator.h"
-#include "support/record_file.h"
+#include "support/record_store.h"
 #include "sym/report.h"
 
 namespace grover::policy {
@@ -107,11 +102,15 @@ class PolicyStore {
 
   /// Memory probe, falling back to the disk tier on miss (a disk hit
   /// populates the memory tier). nullopt = unknown kernel shape.
-  [[nodiscard]] std::optional<Decision> lookup(std::uint64_t key);
+  [[nodiscard]] std::optional<Decision> lookup(std::uint64_t key) {
+    return store_.lookup(key);
+  }
 
   /// The memory probe of lookup() alone: never reads the disk tier, so
   /// nullopt may only mean the decision is not in memory.
-  [[nodiscard]] std::optional<Decision> lookupMemory(std::uint64_t key);
+  [[nodiscard]] std::optional<Decision> lookupMemory(std::uint64_t key) {
+    return store_.get(key);
+  }
 
   /// Insert/overwrite in memory and persist to the disk tier (atomic
   /// temp-file + rename; write errors are swallowed — the disk tier is
@@ -122,27 +121,13 @@ class PolicyStore {
   [[nodiscard]] const Config& config() const { return config_; }
 
   /// Path of the decision file for a key ("" without a disk tier).
-  [[nodiscard]] std::string diskPath(std::uint64_t key) const;
+  [[nodiscard]] std::string diskPath(std::uint64_t key) const {
+    return store_.disk().path(key);
+  }
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    Decision decision;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-  };
-
-  Shard& shardFor(std::uint64_t key);
-  void putMemory(std::uint64_t key, const Decision& decision);
-
   Config config_;
-  std::size_t shardBudget_ = 0;  // entries per shard
-  std::vector<std::unique_ptr<Shard>> shards_;
-  RecordDir disk_;
+  RecordStore<Decision> store_;
 };
 
 }  // namespace grover::policy

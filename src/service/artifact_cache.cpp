@@ -1,11 +1,9 @@
 #include "service/artifact_cache.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "ir/ir_parser.h"
 #include "ir/printer.h"
-#include "support/diagnostics.h"
 
 namespace grover::service {
 namespace {
@@ -56,7 +54,9 @@ void writeArtifact(RecordWriter& w, const Artifact& a) {
   w.str("transformed", a.transformedText);
 }
 
-void readArtifact(RecordReader& r, Artifact& a) {
+ArtifactPtr readArtifact(RecordReader& r) {
+  auto artifact = std::make_shared<Artifact>();
+  Artifact& a = *artifact;
   constexpr auto kLastPattern =
       static_cast<std::int64_t>(grv::IndexPattern::Other);
   constexpr auto kLastProof =
@@ -107,7 +107,13 @@ void readArtifact(RecordReader& r, Artifact& a) {
   }
   a.originalText = r.str("original");
   a.transformedText = r.str("transformed");
+  return artifact;
 }
+
+std::size_t byteCost(const ArtifactPtr& a) { return a->byteSize(); }
+
+const RecordStore<ArtifactPtr, Artifact>::Codec kCodec{
+    ".grvart", kFormat, "artifact", byteCost, writeArtifact, readArtifact};
 
 /// Whether module text reparses, verifies and prints back
 /// byte-identically — the fixed point every stored module must be.
@@ -126,94 +132,33 @@ bool printParseStable(const std::string& text) {
 
 ArtifactCache::ArtifactCache(Config config)
     : config_(std::move(config)),
-      disk_(config_.diskDir, ".grvart", kFormat, "artifact") {
-  const unsigned n = std::max(1u, config_.shards);
-  shardBudget_ = std::max<std::size_t>(1, config_.maxBytes / n);
-  shards_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-ArtifactCache::Shard& ArtifactCache::shardFor(std::uint64_t key) {
-  // The low bits index the shard; FNV-1a mixes well enough for this.
-  return *shards_[key % shards_.size()];
-}
-
-ArtifactPtr ArtifactCache::get(std::uint64_t key) {
-  Shard& shard = shardFor(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->artifact;
-}
-
-void ArtifactCache::put(std::uint64_t key, ArtifactPtr artifact) {
-  if (artifact == nullptr) return;
-  const std::size_t bytes = artifact->byteSize();
-  Shard& shard = shardFor(key);
-  std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  shard.lru.push_front(Entry{key, std::move(artifact), bytes});
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += bytes;
-  while (shard.bytes > shardBudget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-}
-
-std::string ArtifactCache::diskPath(std::uint64_t key) const {
-  return disk_.path(key);
-}
-
-ArtifactPtr ArtifactCache::loadFromDisk(std::uint64_t key) {
-  auto artifact = std::make_shared<Artifact>();
-  if (!disk_.load(key, [&](RecordReader& r) { readArtifact(r, *artifact); })) {
-    return nullptr;
-  }
-  return artifact;
-}
+      store_(kCodec, config_.maxBytes, config_.shards, config_.diskDir) {}
 
 void ArtifactCache::storeToDisk(std::uint64_t key, const Artifact& artifact) {
-  if (!disk_.enabled()) return;
   // A load trusts the checksum and parses no IR, so the parse check runs
-  // here, once, before the artifact is written.
-  if (!printParseStable(artifact.originalText) ||
-      !printParseStable(artifact.transformedText)) {
-    return;
+  // here, once, before the artifact is written (never without a disk).
+  if (store_.disk().enabled() && printParseStable(artifact.originalText) &&
+      printParseStable(artifact.transformedText)) {
+    store_.store(key, artifact);
   }
-  disk_.store(key, [&](RecordWriter& w) { writeArtifact(w, artifact); });
+}
+
+ArtifactPtr ArtifactCache::loadOrBuild(
+    std::uint64_t key, const std::function<ArtifactPtr()>& build) {
+  if (ArtifactPtr stored = loadFromDisk(key)) return stored;
+  ArtifactPtr built = build();
+  storeToDisk(key, *built);
+  put(key, built);
+  return built;
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
-  Stats s;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.evictions += shard->evictions;
-    s.entries += shard->lru.size();
-    s.bytesInUse += shard->bytes;
-  }
-  const RecordDir::Stats d = disk_.stats();
-  s.diskHits = d.hits;
-  s.diskMisses = d.misses;
-  s.diskLoadFailures = d.loadFailures;
-  s.diskStores = d.stores;
-  return s;
+  const auto s = store_.stats();
+  return {.hits = s.hits, .misses = s.misses, .evictions = s.evictions,
+          .entries = s.entries, .bytesInUse = s.cost,
+          .diskHits = s.disk.hits, .diskMisses = s.disk.misses,
+          .diskLoadFailures = s.disk.loadFailures,
+          .diskStores = s.disk.stores};
 }
 
 }  // namespace grover::service

@@ -1,7 +1,7 @@
-// Content-addressed artifact cache: a sharded in-memory LRU with a byte
-// budget, plus an optional on-disk tier. Keys are stable 64-bit content
-// hashes of (source, transform options, platform, scale) — see
-// CompileService::cacheKey.
+// Content-addressed artifact cache: a RecordStore (support/record_store.h)
+// of artifacts, a sharded in-memory LRU with a byte budget plus an
+// optional on-disk tier. Keys are stable 64-bit content hashes of (source,
+// transform options, platform, scale) — see CompileService::cacheKey.
 //
 // The disk tier holds one checksummed `groverart 3` record per key
 // (support/record_file.h), with both modules embedded exactly as
@@ -14,15 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "service/artifact.h"
-#include "support/record_file.h"
+#include "support/record_store.h"
 
 namespace grover::service {
 
@@ -53,17 +50,27 @@ class ArtifactCache {
   explicit ArtifactCache(Config config);
 
   /// In-memory probe; bumps LRU recency on hit.
-  [[nodiscard]] ArtifactPtr get(std::uint64_t key);
+  [[nodiscard]] ArtifactPtr get(std::uint64_t key) {
+    return store_.get(key).value_or(nullptr);
+  }
 
   /// Insert/overwrite; evicts least-recently-used entries of the shard
   /// until it fits its byte budget again.
-  void put(std::uint64_t key, ArtifactPtr artifact);
+  void put(std::uint64_t key, ArtifactPtr artifact) {
+    if (artifact != nullptr) store_.put(key, std::move(artifact));
+  }
 
-  /// Disk-tier probe. Returns null on miss, on a disabled disk tier, and
-  /// on any corruption (counted in diskLoadFailures). Does NOT populate
-  /// the memory tier — callers put() the result so the two tiers stay
-  /// decoupled.
-  [[nodiscard]] ArtifactPtr loadFromDisk(std::uint64_t key);
+  /// Disk-tier probe; a hit is also put in memory. Returns null on miss,
+  /// on a disabled disk tier, and on any corruption (counted in
+  /// diskLoadFailures).
+  [[nodiscard]] ArtifactPtr loadFromDisk(std::uint64_t key) {
+    return store_.load(key).value_or(nullptr);
+  }
+
+  /// Memory probe, falling back to loadFromDisk() on a miss.
+  [[nodiscard]] ArtifactPtr lookup(std::uint64_t key) {
+    return store_.lookup(key).value_or(nullptr);
+  }
 
   /// Persist an artifact (atomic write-then-rename). No-op without a
   /// disk tier. An artifact whose module text is not print-parse stable
@@ -72,34 +79,24 @@ class ArtifactCache {
   /// dependency.
   void storeToDisk(std::uint64_t key, const Artifact& artifact);
 
+  /// The disk tier's artifact for `key`, else the one `build` returns,
+  /// which is stored to disk. Either way it is in memory on return.
+  /// Whatever `build` throws propagates, and nothing is stored.
+  [[nodiscard]] ArtifactPtr loadOrBuild(
+      std::uint64_t key, const std::function<ArtifactPtr()>& build);
+
   [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] const Config& config() const { return config_; }
 
   /// Path of the artifact file for a key ("" without a disk tier).
-  [[nodiscard]] std::string diskPath(std::uint64_t key) const;
+  [[nodiscard]] std::string diskPath(std::uint64_t key) const {
+    return store_.disk().path(key);
+  }
 
  private:
-  struct Entry {
-    std::uint64_t key = 0;
-    ArtifactPtr artifact;
-    std::size_t bytes = 0;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    // key → position in lru. std::list iterators stay valid on splice.
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-  };
-
-  Shard& shardFor(std::uint64_t key);
-
   Config config_;
-  std::size_t shardBudget_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  RecordDir disk_;
+  RecordStore<ArtifactPtr, Artifact> store_;
 };
 
 }  // namespace grover::service

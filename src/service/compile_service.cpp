@@ -207,21 +207,21 @@ CompileService::Future CompileService::submit(Request request,
 
   pool_.submit([this, key, promise, scope,
                 resolved = std::move(resolved)]() mutable {
+    // Publish to the cache and leave the in-flight map BEFORE completing
+    // the future: anyone who observes the future done will find the
+    // artifact in the cache, never a stale in-flight entry.
     ArtifactPtr artifact;
     bool wasCancelled = false;
     try {
       if (scope->cancelled()) throw CancelledCompile{};
-      {
-        StageTimer timer(*this, &Counters::cacheNs);
-        artifact = cache_.loadFromDisk(key);
-      }
-      if (artifact != nullptr) {
-        bump(&Counters::diskHits);
-      } else {
-        artifact = compileUncached(resolved, scope.get());
-        StageTimer timer(*this, &Counters::cacheNs);
-        cache_.storeToDisk(key, *artifact);
-      }
+      std::optional<StageTimer> timer(std::in_place, *this,
+                                      &Counters::cacheNs);
+      artifact = cache_.loadOrBuild(key, [&] {
+        timer.reset();  // the compile is not cache time
+        ArtifactPtr built = compileUncached(resolved, scope.get());
+        timer.emplace(*this, &Counters::cacheNs);
+        return built;
+      });
     } catch (const CancelledCompile&) {
       // Every waiter disconnected: stop burning CPU. Nothing — not even
       // a negative entry — is cached; the next identical request starts
@@ -231,14 +231,9 @@ CompileService::Future CompileService::submit(Request request,
           negative("cancelled: every client disconnected mid-compile");
     } catch (const std::exception& e) {
       artifact = negative(std::string("internal error: ") + e.what());
+      cache_.put(key, artifact);
     } catch (...) {
       artifact = negative("internal error");
-    }
-    // Publish to the cache and leave the in-flight map BEFORE completing
-    // the future: anyone who observes the future done will find the
-    // artifact in the cache, never a stale in-flight entry.
-    if (!wasCancelled) {
-      StageTimer timer(*this, &Counters::cacheNs);
       cache_.put(key, artifact);
     }
     {
@@ -287,17 +282,10 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
     bump(&Counters::featureKeysReused);
   } else {
     ArtifactPtr stored;
-    bool diskHit = false;
     {
       StageTimer timer(*this, &Counters::cacheNs);
-      stored = cache_.get(key);
-      if (stored == nullptr) {
-        stored = cache_.loadFromDisk(key);
-        diskHit = stored != nullptr;
-        if (diskHit) cache_.put(key, stored);
-      }
+      stored = cache_.lookup(key);
     }
-    if (diskHit) bump(&Counters::diskHits);
     if (stored != nullptr && stored->hasFeatures) {
       out.features = stored->features;
       out.policyKey = stored->policyKey;
@@ -332,9 +320,7 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
     // serving it is free and strictly more informative.
     {
       StageTimer timer(*this, &Counters::cacheNs);
-      if (ArtifactPtr full = cache_.get(key)) {
-        out.artifact = full;
-      }
+      out.artifact = cache_.get(key);
     }
     if (out.artifact != nullptr) {
       maybeMeasure(resolved, out, remeasure);
@@ -350,27 +336,10 @@ AutoResult CompileService::compileAuto(Request request, CancelToken cancel) {
       }
     }
     auto artifact = std::make_shared<Artifact>();
-    if (warm->variant == policy::Variant::Transformed) {
-      for (const auto& fn : program.module->functions()) {
-        if (!fn->isKernel()) continue;
-        if (!resolved.kernelName.empty() &&
-            fn->name() != resolved.kernelName) {
-          continue;
-        }
-        grv::GroverResult result = [&] {
-          StageTimer timer(*this, &Counters::groverNs);
-          return grv::runGrover(*fn, resolved.options);
-        }();
-        {
-          StageTimer timer(*this, &Counters::validateNs);
-          ir::verifyFunction(*fn);
-        }
-        artifact->report.anyTransformed |= result.anyTransformed;
-        artifact->report.barriersRemoved |= result.barriersRemoved;
-        for (auto& b : result.buffers) {
-          artifact->report.buffers.push_back(std::move(b));
-        }
-      }
+    // The served variant: serveWarm's Refuted guard may have overruled the
+    // stored one.
+    if (out.decision.variant == policy::Variant::Transformed) {
+      transformKernels(resolved, program, artifact->report);
       artifact->transformedText = ir::printModule(*program.module);
     } else {
       StageTimer timer(*this, &Counters::printNs);
@@ -529,6 +498,12 @@ void CompileService::maybeMeasure(const Request& resolved, AutoResult& out,
     return;
   }
 
+  measureAndFold(resolved, out.policyKey, &out);
+}
+
+void CompileService::measureAndFold(const Request& resolved,
+                                    std::uint64_t policyKey,
+                                    AutoResult* out) {
   perf::MeasureOptions opts = config_.measure;
   opts.scale = resolved.scale;
   perf::Measurement m;
@@ -539,9 +514,12 @@ void CompileService::maybeMeasure(const Request& resolved, AutoResult& out,
   if (!m.ok) return;  // execution failure: keep the estimate-based decision
   bump(&Counters::measurements);
   if (m.usedNative) bump(&Counters::nativeMeasurements);
-  out.decision = recordMeasurement(out.policyKey, m.measuredNp);
-  out.measured = true;
-  out.measurement = std::move(m);
+  // recordMeasurement absorbs a shutdown racing the refresh internally.
+  const policy::Decision folded = recordMeasurement(policyKey, m.measuredNp);
+  if (out == nullptr) return;
+  out->decision = folded;
+  out->measured = true;
+  out->measurement = std::move(m);
 }
 
 void CompileService::measureLoop() {
@@ -558,20 +536,7 @@ void CompileService::measureLoop() {
       job = std::move(measure_queue_.front());
       measure_queue_.pop_front();
     }
-
-    perf::MeasureOptions opts = config_.measure;
-    opts.scale = job.resolved.scale;
-    perf::Measurement m;
-    {
-      StageTimer timer(*this, &Counters::executeNs);
-      m = perf::measure(apps::applicationById(job.resolved.appId), opts);
-    }
-    if (!m.ok) continue;  // keep the estimate-based decision
-    bump(&Counters::measurements);
-    if (m.usedNative) bump(&Counters::nativeMeasurements);
-    // Same fold as the synchronous path; recordMeasurement absorbs a
-    // shutdown racing the refresh internally.
-    (void)recordMeasurement(job.policyKey, m.measuredNp);
+    measureAndFold(job.resolved, job.policyKey, nullptr);
   }
 }
 
@@ -686,33 +651,10 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
   }
   checkCancelled();
 
-  {
-    bool any = false;
-    for (const auto& fn : transformed.module->functions()) {
-      if (!fn->isKernel()) continue;
-      if (!resolved.kernelName.empty() && fn->name() != resolved.kernelName) {
-        continue;
-      }
-      any = true;
-      grv::GroverResult result = [&] {
-        StageTimer timer(*this, &Counters::groverNs);
-        return grv::runGrover(*fn, resolved.options);
-      }();
-      {
-        StageTimer timer(*this, &Counters::validateNs);
-        ir::verifyFunction(*fn);
-      }
-      artifact->report.anyTransformed |= result.anyTransformed;
-      artifact->report.barriersRemoved |= result.barriersRemoved;
-      for (auto& b : result.buffers) {
-        artifact->report.buffers.push_back(std::move(b));
-      }
-    }
-    if (!any) {
-      return negative(resolved.kernelName.empty()
-                          ? "no kernel found in source"
-                          : "kernel '" + resolved.kernelName + "' not found");
-    }
+  if (!transformKernels(resolved, transformed, artifact->report)) {
+    return negative(resolved.kernelName.empty()
+                        ? "no kernel found in source"
+                        : "kernel '" + resolved.kernelName + "' not found");
   }
   checkCancelled();
 
@@ -857,6 +799,31 @@ ArtifactPtr CompileService::compileUncached(const Request& resolved,
   return artifact;
 }
 
+bool CompileService::transformKernels(const Request& resolved,
+                                      Program& program,
+                                      grv::GroverResult& report) {
+  bool any = false;
+  for (const auto& fn : program.module->functions()) {
+    if (!fn->isKernel()) continue;
+    if (!resolved.kernelName.empty() && fn->name() != resolved.kernelName) {
+      continue;
+    }
+    any = true;
+    grv::GroverResult result = [&] {
+      StageTimer timer(*this, &Counters::groverNs);
+      return grv::runGrover(*fn, resolved.options);
+    }();
+    {
+      StageTimer timer(*this, &Counters::validateNs);
+      ir::verifyFunction(*fn);
+    }
+    report.anyTransformed |= result.anyTransformed;
+    report.barriersRemoved |= result.barriersRemoved;
+    for (auto& b : result.buffers) report.buffers.push_back(std::move(b));
+  }
+  return any;
+}
+
 CompileService::FeatureKey CompileService::featureKeyOf(
     const Request& resolved, ir::Function& kernel) {
   const apps::Application& app = apps::applicationById(resolved.appId);
@@ -963,7 +930,7 @@ ServiceStats CompileService::stats() const {
   s.negativeHits = snap.negativeHits;
   s.coalesced = snap.coalesced;
   s.misses = snap.misses;
-  s.diskHits = snap.diskHits;
+  s.diskHits = c.diskHits;
   s.compiles = snap.compiles;
   s.cancelled = snap.cancelled;
   s.evictions = c.evictions;

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "grovercl/compiler.h"
 #include "perf/measure.h"
 #include "perf/platform.h"
 #include "policy/decision_engine.h"
@@ -79,7 +80,7 @@ struct ServiceStats {
   std::uint64_t negativeHits = 0;  // of those, cached failures/diagnostics
   std::uint64_t coalesced = 0;     // joined an in-flight identical request
   std::uint64_t misses = 0;        // became the compiling leader
-  std::uint64_t diskHits = 0;      // a leader or compileAuto() loaded it
+  std::uint64_t diskHits = 0;      // ArtifactCache::Stats::diskHits
   std::uint64_t compiles = 0;      // full pipeline executions
   std::uint64_t evictions = 0;
   std::uint64_t diskLoadFailures = 0;
@@ -269,7 +270,7 @@ class CompileService {
   /// whole block atomically instead of reading fields one by one.
   struct Counters {
     std::uint64_t requests = 0, memoryHits = 0, negativeHits = 0,
-        coalesced = 0, misses = 0, diskHits = 0, compiles = 0, cancelled = 0;
+        coalesced = 0, misses = 0, compiles = 0, cancelled = 0;
     std::uint64_t policyHits = 0, policyMisses = 0, policyStores = 0,
         featureKeysReused = 0;
     std::uint64_t measurements = 0, nativeMeasurements = 0,
@@ -324,6 +325,10 @@ class CompileService {
   /// the submit() worker.
   [[nodiscard]] ArtifactPtr compileUncached(const Request& resolved,
                                             const CancelScope* cancel);
+  /// Runs Grover on, and verifies, each kernel of `program` the request
+  /// names (all when it names none); false when none matched.
+  bool transformKernels(const Request& resolved, Program& program,
+                        grv::GroverResult& report);
 
   /// The prover's verdict on one kernel: its status and report summary.
   struct Proof {
@@ -345,6 +350,11 @@ class CompileService {
   /// inline — the stale-contradicted-decision re-measure path.
   void maybeMeasure(const Request& resolved, AutoResult& out,
                     bool force = false);
+  /// Executes `resolved` for real, counts it and folds its np into
+  /// `policyKey`'s decision (a failed run keeps it). `out` (may be null)
+  /// receives the measurement and the folded decision.
+  void measureAndFold(const Request& resolved, std::uint64_t policyKey,
+                      AutoResult* out);
   /// Body of the background measurement thread.
   void measureLoop();
   void stopMeasureThread();

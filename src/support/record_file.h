@@ -1,5 +1,7 @@
-// Checksummed records on disk: the one file format of both disk tiers
-// (service::ArtifactCache and policy::PolicyStore, DESIGN.md §8).
+// Checksummed records on disk: the disk tier of RecordStore
+// (support/record_store.h), and so the one file format of both stores
+// built on it, service::ArtifactCache and policy::PolicyStore (DESIGN.md
+// §8).
 //
 // A record is line-oriented text:
 //   <format line>                     e.g. "groverart 3"

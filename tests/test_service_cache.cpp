@@ -462,6 +462,39 @@ TEST(ServiceDiskTier, RestartedServiceAnswersAutoFromDisk) {
   fs::remove_all(dir);
 }
 
+TEST(ServiceDiskTier, RefutedDecisionWithoutStoredArtifactServesTheOriginal) {
+  // A stored Transformed decision whose transform is Refuted, and no
+  // artifact tier: the fresh service builds the variant the Refuted guard
+  // serves, the original, from its own front end.
+  const std::string dir = freshDir("refuted");
+  const Request req = estimateRequest("NVD-MT", "SNB");
+  ServiceConfig config;
+  config.policyStore.diskDir = dir;
+  AutoResult cold;
+  {
+    CompileService a(config);
+    cold = a.compileAuto(req);
+    ASSERT_TRUE(cold.eligible);
+    ASSERT_TRUE(cold.artifact->ok);
+    policy::Decision refuted = cold.decision;
+    refuted.variant = policy::Variant::Transformed;
+    refuted.proof = sym::ProofStatus::Refuted;
+    a.policyStore().store(cold.policyKey, refuted);
+  }
+
+  CompileService b(config);
+  const AutoResult warm = b.compileAuto(req);
+  ASSERT_TRUE(warm.eligible);
+  EXPECT_TRUE(warm.policyHit);
+  EXPECT_EQ(warm.decision.variant, policy::Variant::Original);
+  ASSERT_TRUE(warm.artifact->ok);
+  EXPECT_FALSE(warm.artifact->hasEstimate) << "the warm build is partial";
+  EXPECT_FALSE(warm.servedText().empty());
+  EXPECT_EQ(warm.servedText(), cold.artifact->originalText);
+  EXPECT_EQ(b.stats().compiles, 0u);
+  fs::remove_all(dir);
+}
+
 TEST(ServiceEstimates, BitIdenticalToUncachedHarness) {
   Request req;
   req.appId = "NVD-MT";

@@ -5,7 +5,8 @@
 // run. A restarted service racing auto and plain requests over filled
 // disk tiers compiles nothing and agrees with a sequential run. Memory-only
 // answers racing cold compiles and decision flips agree with a sequential
-// run too.
+// run too. The two-tier record store under both stores keeps its budget
+// and its counts while threads mix memory and disk calls on one shard.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -22,6 +23,7 @@
 #include "perf/platform.h"
 #include "service/compile_service.h"
 #include "support/diagnostics.h"
+#include "support/record_store.h"
 
 namespace grover::service {
 namespace {
@@ -598,6 +600,89 @@ TEST(ServiceShutdown, DrainsAndRejectsNewWork) {
   EXPECT_TRUE(f.get()->ok);
   EXPECT_THROW((void)service.submit(appRequest("NVD-MT")), GroverError);
   service.shutdown();  // idempotent
+}
+
+TEST(RecordStoreConcurrency, MixedTierCallsKeepBudgetAndCounts) {
+  // Eight threads mix get/put/load/store over six overlapping keys on one
+  // shard that holds a few entries. A value is 10 * key + cost - 1, so a
+  // read of another key's value shows, and costs of 1-3 make overwrites
+  // change the cost in use.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("grover_record_store_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  using Store = RecordStore<std::int64_t>;
+  const Store::Codec codec{
+      ".rec",
+      "testrec 1",
+      "test record",
+      [](const std::int64_t& v) {
+        return static_cast<std::size_t>(v % 10 + 1);
+      },
+      [](RecordWriter& w, const std::int64_t& v) { w.num("v", v); },
+      [](RecordReader& r) { return r.num("v"); }};
+  constexpr std::size_t kBudget = 5;
+  constexpr unsigned kThreads = 8;
+  constexpr unsigned kIters = 400;
+  constexpr std::int64_t kKeys = 6;
+  Store store(codec, kBudget, /*shards=*/1, dir.string());
+
+  std::atomic<bool> go{false};
+  std::atomic<std::uint64_t> gets{0}, loads{0}, maxCost{0}, wrongValues{0};
+  const auto check = [&](std::uint64_t key,
+                         const std::optional<std::int64_t>& v) {
+    if (v && *v / 10 != static_cast<std::int64_t>(key)) ++wrongValues;
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (unsigned i = 0; i < kIters; ++i) {
+        // Every call meets every key: i / 4 steps the key between rounds.
+        const std::uint64_t key = (t + i + i / 4) % kKeys;
+        const std::int64_t value =
+            static_cast<std::int64_t>(key) * 10 + (t * 7 + i) % 3;
+        switch ((t + i) % 4) {
+          case 0:
+            check(key, store.get(key));
+            ++gets;
+            break;
+          case 1:
+            store.put(key, value);
+            break;
+          case 2:
+            check(key, store.load(key));
+            ++loads;
+            break;
+          default:
+            store.store(key, value);
+            break;
+        }
+        const std::uint64_t cost = store.stats().cost;
+        std::uint64_t seen = maxCost.load();
+        while (cost > seen && !maxCost.compare_exchange_weak(seen, cost)) {
+        }
+      }
+    });
+  }
+  go = true;
+  for (std::thread& th : threads) th.join();
+
+  const Store::Stats s = store.stats();
+  EXPECT_LE(maxCost.load(), kBudget);
+  EXPECT_EQ(s.hits + s.misses, gets.load());
+  EXPECT_EQ(s.disk.hits + s.disk.misses, loads.load());
+  EXPECT_EQ(s.disk.loadFailures, 0u) << "a reader saw a torn record";
+  EXPECT_EQ(wrongValues.load(), 0u);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_GT(s.disk.hits, 0u);
+  // A value that costs more than the budget evicts every entry and
+  // itself, so the cost in use must come back to exactly 0.
+  store.put(100, 1009);
+  EXPECT_EQ(store.stats().entries, 0u);
+  EXPECT_EQ(store.stats().cost, 0u);
+  fs::remove_all(dir);
 }
 
 }  // namespace
